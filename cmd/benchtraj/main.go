@@ -852,7 +852,7 @@ func measureExec() (*Report, error) {
 			for i := 0; i < b.N; i++ {
 				src.Reset()
 				st := store.Checked(store.NewFaultStore(store.NewMemStore(), store.FaultPlan{
-					Seed: 23, WriteFail: 0.1, ReadFail: 0.05, MeanLatency: 0.5, LogicalKeys: true,
+					Seed: 23, WriteFail: 0.1, ReadFail: 0.05, MeanLatency: 0.5,
 				}))
 				_, err := exec.Execute(w, src, exec.Options{
 					RunID: "bench", Store: st, Downtime: 0.5,

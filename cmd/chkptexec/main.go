@@ -20,19 +20,21 @@
 // and finishes with a journal byte-identical to an uninterrupted run
 // (the printed journal hash is the witness). -faults wraps the store in
 // a deterministic fault injector (failed and torn writes, lost old
-// checkpoints, transient read failures) to drill the recovery paths:
+// checkpoints, transient read failures) to drill the recovery paths.
+// Every persisted run prints a resilience summary (retry policy, replans,
+// save give-ups, degradation level, store overhead):
 //
 //	chkptexec -workflow wf.json -dir /tmp/ckpts -crash-events 40
 //	chkptexec -workflow wf.json -dir /tmp/ckpts            # resumes
-//	chkptexec -workflow wf.json -dir /tmp/ckpts -faults -retries 4
+//	chkptexec -workflow wf.json -dir /tmp/ckpts -faults -retry-policy fixed:4
 //
-// Degraded-store resilience — any of -retry-policy, -replan-threshold,
-// -quota, -secondary-dir or -tenants switches the persisted run onto
-// the adaptive executor (health-tracked retries with backoff, online
-// suffix replanning under cost drift, failover, per-tenant quotas) and
-// prints a resilience summary. -tenants N runs N concurrent persisted
-// runs (<run-id>-t0 .. -t<N-1>) against one shared store stack; crash
-// flags then apply to tenant 0 only:
+// Degraded-store resilience — -retry-policy, -replan-threshold,
+// -quota, -secondary-dir and -tenants tune the persisted run's
+// persistence path (health-tracked retries with backoff, online suffix
+// replanning under cost drift, failover, per-tenant quotas); without
+// them a failed save is not retried. -tenants N runs N concurrent
+// persisted runs (<run-id>-t0 .. -t<N-1>) against one shared store
+// stack; crash flags then apply to tenant 0 only:
 //
 //	chkptexec -workflow wf.json -dir /tmp/ckpts -faults -fault-latency 2 \
 //	    -retry-policy exp:0.5 -replan-threshold 1.3
@@ -104,7 +106,6 @@ type config struct {
 
 	dir         string
 	runID       string
-	retries     int
 	crashEvents int
 	crashSaves  int
 	faults      bool
@@ -145,8 +146,8 @@ func (c config) networked() bool {
 		c.partition != "" || c.replicas > 1
 }
 
-// adaptive reports whether any resilience flag asks for the adaptive
-// executor.
+// adaptive reports whether any resilience flag is set; they all tune
+// the persisted run, so they need -dir.
 func (c config) adaptive() bool {
 	return c.retryPolicy != "" || c.replanThreshold > 1 || c.quota != "" ||
 		c.secondaryDir != "" || c.tenants > 1 || c.syncEvery > 0
@@ -169,16 +170,15 @@ func main() {
 	flag.StringVar(&cfg.costmodel, "costmodel", "last-task", "DAG cost model: last-task | live-set")
 	flag.StringVar(&cfg.dir, "dir", "", "checkpoint store directory: switches to a persisted single run that resumes across invocations")
 	flag.StringVar(&cfg.runID, "run-id", "run", "run name inside the store")
-	flag.IntVar(&cfg.retries, "retries", 0, "store save/load retries (useful with -faults)")
 	flag.IntVar(&cfg.crashEvents, "crash-events", 0, "kill the run once the journal holds this many events (demo crash point)")
-	flag.IntVar(&cfg.crashSaves, "crash-saves", 0, "kill the run after this many checkpoint saves")
+	flag.IntVar(&cfg.crashSaves, "crash-saves", 0, "kill the run after this many saves of new checkpoints (a resume's re-save of the restored one does not count)")
 	flag.BoolVar(&cfg.faults, "faults", false, "wrap the store in the deterministic fault injector")
 	flag.Uint64Var(&cfg.faultSeed, "fault-seed", 42, "fault injector seed")
-	flag.StringVar(&cfg.retryPolicy, "retry-policy", "", "adaptive save retry policy: none | fixed:<n> | exp[:base[:factor[:cap[:max]]]] (enables the adaptive executor)")
-	flag.Float64Var(&cfg.replanThreshold, "replan-threshold", 0, "hysteresis ratio of effective vs planned checkpoint cost that triggers online replanning (> 1 enables; adaptive)")
-	flag.StringVar(&cfg.quota, "quota", "", "per-tenant retained-checkpoint quota, e.g. ckpts:4, bytes:8192 or ckpts:4,bytes:8192 (adaptive; per-process accounting)")
-	flag.IntVar(&cfg.tenants, "tenants", 1, "run this many concurrent tenants (<run-id>-t<i>) against one shared store stack (adaptive)")
-	flag.StringVar(&cfg.secondaryDir, "secondary-dir", "", "failover checkpoint store directory (adaptive)")
+	flag.StringVar(&cfg.retryPolicy, "retry-policy", "", "save retry policy: none | fixed:<n> | exp[:base[:factor[:cap[:max]]]] (persisted run)")
+	flag.Float64Var(&cfg.replanThreshold, "replan-threshold", 0, "hysteresis ratio of effective vs planned checkpoint cost that triggers online replanning (> 1 enables; persisted run)")
+	flag.StringVar(&cfg.quota, "quota", "", "per-tenant retained-checkpoint quota, e.g. ckpts:4, bytes:8192 or ckpts:4,bytes:8192 (persisted run; per-process accounting)")
+	flag.IntVar(&cfg.tenants, "tenants", 1, "run this many concurrent tenants (<run-id>-t<i>) against one shared store stack (persisted run)")
+	flag.StringVar(&cfg.secondaryDir, "secondary-dir", "", "failover checkpoint store directory (persisted run)")
 	flag.Float64Var(&cfg.faultLatency, "fault-latency", 0, "mean injected store latency per operation (with -faults)")
 	flag.StringVar(&cfg.tracePath, "trace", "", "drive failures from a recorded FTA-style CSV log instead of a seeded law (persisted run only)")
 	flag.BoolVar(&cfg.planFromTelemetry, "plan-from-telemetry", false, "probe the store before planning and re-solve the placement with the effective checkpoint cost (requires -dir)")
@@ -196,7 +196,7 @@ func main() {
 	flag.BoolVar(&cfg.contend, "contend", false, "two-executor fencing drill: run an uncontended reference, kill executor a, let b take over, prove the woken zombie is fenced and the survivor journal is bit-identical (requires -lease)")
 	flag.BoolVar(&cfg.syncMode, "sync", false, "maintenance: run one anti-entropy pass converging every replica of -run-id, then exit (requires -dir and -replicas >= 2; no -workflow needed)")
 	flag.BoolVar(&cfg.scrub, "scrub", false, "maintenance: walk every (run, seq) key, repair CRC-corrupt replicas from a clean quorum, fail loudly when none exists (requires -dir and -replicas >= 2; no -workflow needed)")
-	flag.IntVar(&cfg.syncEvery, "sync-every", 0, "run an anti-entropy pass after every k-th committed segment and at completion (adaptive; with -replicas >= 2)")
+	flag.IntVar(&cfg.syncEvery, "sync-every", 0, "run an anti-entropy pass after every k-th committed segment and at completion (persisted run; with -replicas >= 2)")
 	flag.Parse()
 	if cfg.wfPath == "" && !cfg.maintenance() {
 		flag.Usage()
@@ -536,10 +536,6 @@ func buildStore(cfg config, ledger *store.QuotaLedger) (store.Store, error) {
 			plan := store.FaultPlan{
 				Seed: cfg.faultSeed + salt, WriteFail: 0.1, TornWrite: 0.1, LoseOld: 0.2, ReadFail: 0.1,
 				MeanLatency: cfg.faultLatency,
-				// The adaptive executor's replay identity requires fault
-				// outcomes to be a pure function of the logical operation,
-				// not of the injector's lifetime op index.
-				LogicalKeys: cfg.adaptive() || cfg.networked(),
 			}
 			if ledger != nil {
 				// Silent old-checkpoint loss would desync the quota
@@ -612,11 +608,8 @@ func buildStore(cfg config, ledger *store.QuotaLedger) (store.Store, error) {
 }
 
 // buildAdaptive assembles the AdaptiveOptions the resilience flags ask
-// for; nil when no resilience flag is set.
+// for (the zero value, no retries, when none is set).
 func buildAdaptive(cfg config, replanner exec.Replanner) (*exec.AdaptiveOptions, exec.RetryPolicy, error) {
-	if !cfg.adaptive() {
-		return nil, nil, nil
-	}
 	pol, err := parseRetryPolicy(cfg.retryPolicy)
 	if err != nil {
 		return nil, nil, err
@@ -672,7 +665,7 @@ func reportResult(out io.Writer, prefix string, cfg config, planned float64, res
 	return nil
 }
 
-// reportResilience prints the adaptive executor's summary line.
+// reportResilience prints the persistence path's summary line.
 func reportResilience(out io.Writer, prefix string, pol exec.RetryPolicy, res *exec.Result) {
 	fmt.Fprintf(out, "%sresilience: policy %s, replans %d, save give-ups %d, level %s, store overhead %.4f, max rewind exposure %.4f\n",
 		prefix, pol.Name(), res.Replans, res.GiveUps, res.Level, res.StoreOverhead, res.MaxRewind)
@@ -703,7 +696,7 @@ func runPersisted(w *exec.Workload, m expectation.Model, planned float64, replan
 	}
 	res, err := exec.Execute(w, src, exec.Options{
 		RunID: cfg.runID, Store: st, Downtime: m.Downtime,
-		SaveRetries: cfg.retries, CrashAfterEvents: cfg.crashEvents, CrashAfterSaves: cfg.crashSaves,
+		CrashAfterEvents: cfg.crashEvents, CrashAfterSaves: cfg.crashSaves,
 		Adaptive: ao,
 	})
 	if ts != nil && ts.Exhausted() {
@@ -715,9 +708,7 @@ func runPersisted(w *exec.Workload, m expectation.Model, planned float64, replan
 	if rerr := reportResult(out, "", cfg, planned, res, err); rerr != nil || err != nil {
 		return rerr
 	}
-	if ao != nil {
-		reportResilience(out, "", pol, res)
-	}
+	reportResilience(out, "", pol, res)
 	return nil
 }
 
@@ -773,7 +764,7 @@ func runTenants(g *dag.Graph, m expectation.Model, planned float64, replanner ex
 		if err := reportResult(out, prefix, cfg, planned, results[i], errs[i]); err != nil {
 			return fmt.Errorf("tenant %d: %w", i, err)
 		}
-		if ao != nil && errs[i] == nil {
+		if errs[i] == nil {
 			reportResilience(out, prefix, pol, results[i])
 		}
 	}
@@ -830,8 +821,9 @@ func runMaintenance(cfg config, out io.Writer) error {
 // -dir: an uncontended leased reference run under <dir>/ref, then a
 // contended run under <dir>/main where executor a is killed at the
 // -crash-events point, executor b takes the run over with a higher
-// epoch (and is itself killed after one save), the woken zombie a is
-// fenced on its first write, and the surviving b resumes to completion.
+// epoch (and is itself killed after committing one new checkpoint), the
+// woken zombie a is fenced on its first write, and the surviving b
+// resumes to completion.
 // The drill fails unless the survivor's journal is bit-identical to the
 // uncontended reference — fencing means the loser never interleaved.
 func runContend(g *dag.Graph, m expectation.Model, planned float64, cfg config, overhead float64, out io.Writer) error {
@@ -857,7 +849,7 @@ func runContend(g *dag.Graph, m expectation.Model, planned float64, cfg config, 
 		}
 		return exec.Execute(w, src, exec.Options{
 			RunID: c.runID, Store: st, Downtime: m.Downtime,
-			SaveRetries: c.retries, CrashAfterEvents: crashEvents, CrashAfterSaves: crashSaves,
+			CrashAfterEvents: crashEvents, CrashAfterSaves: crashSaves,
 			Adaptive: ao,
 		})
 	}
@@ -901,7 +893,7 @@ func runContend(g *dag.Graph, m expectation.Model, planned float64, cfg config, 
 	resB, err := exe(bCfg, bStore, 0, 1)
 	switch {
 	case errors.Is(err, exec.ErrCrashed):
-		fmt.Fprintf(out, "contend: executor b (epoch %d) took the run over, killed after one save\n", resB.Epoch)
+		fmt.Fprintf(out, "contend: executor b (epoch %d) took the run over, killed after one new checkpoint\n", resB.Epoch)
 	case err == nil:
 		fmt.Fprintf(out, "contend: executor b (epoch %d) took the run over and completed\n", resB.Epoch)
 	default:

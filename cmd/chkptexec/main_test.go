@@ -120,7 +120,9 @@ var planLine = regexp.MustCompile(`plan: \S+ — \d+ tasks, (\d+) segments`)
 
 // TestPersistedCrashResume is the CLI-level crash drill: kill a
 // persisted run at an injected point, re-invoke to resume, and check
-// the journal hash matches an uninterrupted run in a fresh store.
+// the journal hash matches an uninterrupted run in a fresh store. A
+// persisted run without resilience flags still prints the resilience
+// summary, with no retry policy.
 func TestPersistedCrashResume(t *testing.T) {
 	base := t.TempDir()
 	wf := chainWorkflow(t, base, 12)
@@ -135,6 +137,9 @@ func TestPersistedCrashResume(t *testing.T) {
 	refM := journalLine.FindStringSubmatch(refOut.String())
 	if refM == nil {
 		t.Fatalf("no journal line in reference output:\n%s", refOut.String())
+	}
+	if res := resilienceLine.FindStringSubmatch(refOut.String()); res == nil || res[1] != "none" {
+		t.Fatalf("want a resilience summary with policy none:\n%s", refOut.String())
 	}
 
 	// Crash at an injected point, then resume with the same store.
@@ -168,9 +173,12 @@ func TestPersistedCrashResume(t *testing.T) {
 	}
 }
 
+var completedLine = regexp.MustCompile(`completed: makespan ([0-9.]+) \(planned [0-9.]+\), (\d+) failures, (\d+) checkpoints`)
+
 // TestPersistedWithFaults drives the persisted path through the fault
 // injector with retries; the run must still complete with the same
-// journal hash as the clean store.
+// makespan, failures and checkpoints as on the clean store. (The
+// journals differ: they record each save's attempts.)
 func TestPersistedWithFaults(t *testing.T) {
 	base := t.TempDir()
 	wf := chainWorkflow(t, base, 12)
@@ -181,22 +189,25 @@ func TestPersistedWithFaults(t *testing.T) {
 	if err := run(clean, &cleanOut); err != nil {
 		t.Fatal(err)
 	}
-	cleanM := journalLine.FindStringSubmatch(cleanOut.String())
+	cleanM := completedLine.FindStringSubmatch(cleanOut.String())
 
 	faulty := baseConfig(wf)
 	faulty.dir = filepath.Join(base, "faulty")
 	faulty.faults = true
-	faulty.retries = 6
+	faulty.retryPolicy = "fixed:6"
 	var faultOut bytes.Buffer
 	if err := run(faulty, &faultOut); err != nil {
 		t.Fatal(err)
 	}
-	faultM := journalLine.FindStringSubmatch(faultOut.String())
+	faultM := completedLine.FindStringSubmatch(faultOut.String())
 	if faultM == nil {
-		t.Fatalf("no journal line under faults:\n%s", faultOut.String())
+		t.Fatalf("no completed line under faults:\n%s", faultOut.String())
 	}
-	if cleanM == nil || faultM[1] != cleanM[1] || faultM[2] != cleanM[2] {
-		t.Errorf("faulty-store journal %v differs from clean %v", faultM[1:], cleanM[1:])
+	if cleanM == nil || faultM[1] != cleanM[1] || faultM[2] != cleanM[2] || faultM[3] != cleanM[3] {
+		t.Errorf("faulty-store run %v differs from clean %v", faultM[1:], cleanM[1:])
+	}
+	if res := resilienceLine.FindStringSubmatch(faultOut.String()); res == nil || res[1] != "fixed:6" || res[3] != "0" {
+		t.Errorf("want policy fixed:6 with no save give-ups:\n%s", faultOut.String())
 	}
 }
 

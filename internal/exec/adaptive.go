@@ -1,8 +1,10 @@
-// Degraded-store resilience: everything the executor does beyond the
-// plain "save and hope" path lives here — the retry loop driven by a
+// The persistence path: everything that happens between a committed
+// checkpoint and the store lives here — the retry loop driven by a
 // RetryPolicy, the StoreHealth observer, online replanning with
 // hysteresis, and the degradation ladder (healthy → degraded →
-// failover → down).
+// failover → down). It is the executor's only commit and load path;
+// its zero-value options (no retries, default ladder) are the plain
+// store-backed run.
 //
 // Determinism under adaptivity is the load-bearing design: every
 // decision is a pure function of state that round-trips through the
@@ -32,10 +34,9 @@ import (
 	"repro/internal/store"
 )
 
-// AdaptiveOptions enables the degraded-store resilience layer. The
-// zero value of each field picks a sane default; the executor runs
-// adaptively whenever Options.Adaptive is non-nil (which requires a
-// configured Store).
+// AdaptiveOptions tunes the persistence path of a store-backed run. The
+// zero value of each field picks a sane default; a nil
+// Options.Adaptive means the zero value.
 type AdaptiveOptions struct {
 	// Retry drives the save retry loop (nil = NoRetry). Only transient
 	// errors are retried; permanent errors (quota, corrupt) give up
@@ -76,7 +77,7 @@ type AdaptiveOptions struct {
 	// probe re-admits the active store at LevelDegraded, which is how
 	// a minority-side executor rides out a partition window and
 	// resumes committing once the network heals. Zero keeps the
-	// legacy one-way ladder: down stays down for the rest of the run.
+	// one-way ladder: down stays down for the rest of the run.
 	ProbeEvery int
 	// SyncEvery, when positive, runs an anti-entropy pass over the
 	// active store after every SyncEvery-th committed segment (by
@@ -207,12 +208,18 @@ func (ex *executor) noteExposure() {
 	}
 }
 
-// adaptiveCommit is the adaptive-mode commit: health event and replan
-// decision BEFORE the state is encoded (so both are part of the
-// persisted prefix), then the save with retries, overhead accounting,
-// outcome event and ladder update AFTER (regenerated on resume by
-// re-saving the restored payload).
-func (ex *executor) adaptiveCommit(s int) error {
+// commit persists the post-segment state (a no-op without a store).
+// The EvCheckpoint event was already appended by runSegment, and the
+// health event and replan decision are appended here, all BEFORE the
+// state is encoded, so they are part of the persisted journal prefix: a
+// resume from seq k replays from a journal that already records them.
+// The save with retries, overhead accounting, outcome event and ladder
+// update come AFTER (regenerated on resume by re-saving the restored
+// payload).
+func (ex *executor) commit(s int) error {
+	if ex.opts.Store == nil {
+		return nil
+	}
 	est := ex.baseCost + ex.currentOverheadEstimate()
 	if err := ex.event(Event{Kind: EvHealth, Time: ex.t, Arg: int32(ex.level), Seq: math.Float64bits(est)}); err != nil {
 		return err
@@ -221,15 +228,23 @@ func (ex *executor) adaptiveCommit(s int) error {
 		return err
 	}
 	seq := uint64(s) + 1
-	payload := encodeState(ex.snapshot(seq, uint64(s)+1))
-	return ex.persist(seq, payload)
+	saved, err := ex.persist(seq, encodeState(ex.snapshot(seq, uint64(s)+1)))
+	if err != nil || !saved {
+		return err
+	}
+	ex.saves++
+	if n := ex.opts.CrashAfterSaves; n > 0 && ex.saves >= n {
+		return fmt.Errorf("exec: crash after %d checkpoint saves (t=%v): %w", ex.saves, ex.t, ErrCrashed)
+	}
+	return nil
 }
 
 // persist is everything that happens to a checkpoint payload after it
 // is encoded: skip (persistence off), or save-with-retries plus clock,
-// health, exposure and ladder updates. The resume path calls it with
-// the restored payload to re-observe the same outcomes.
-func (ex *executor) persist(seq uint64, payload []byte) error {
+// health, exposure and ladder updates. It reports whether the payload
+// reached the store. The resume path calls it with the restored
+// payload to re-observe the same outcomes.
+func (ex *executor) persist(seq uint64, payload []byte) (saved bool, err error) {
 	if ex.level == LevelDown {
 		// Ride-out probing: at LevelDown every ProbeEvery-th commit
 		// attempts its save anyway; the others skip as before. The
@@ -246,20 +261,20 @@ func (ex *executor) persist(seq uint64, payload []byte) error {
 		}
 		if !probe {
 			if err := ex.event(Event{Kind: EvSaveResult, Time: ex.t, Arg: encodeSaveArg(0, saveCodeSkipped), Seq: 0}); err != nil {
-				return err
+				return false, err
 			}
 			ex.noteExposure()
-			return nil
+			return false, nil
 		}
 	}
 	out, fatal := ex.adaptiveSave(seq, payload)
 	if fatal != nil {
-		return fatal
+		return false, fatal
 	}
 	ex.t += out.overhead
 	ex.met.StoreOverhead += out.overhead
 	if err := ex.event(Event{Kind: EvSaveResult, Time: ex.t, Arg: encodeSaveArg(out.attempts, out.code), Seq: math.Float64bits(out.overhead)}); err != nil {
-		return err
+		return false, err
 	}
 	ex.health.ObserveCommit(out.successLat, out.overhead-out.successLat)
 	ex.noteExposure()
@@ -273,18 +288,14 @@ func (ex *executor) persist(seq uint64, payload []byte) error {
 			// has yet to re-earn trust through the health EWMA.
 			ex.level = LevelDegraded
 			if err := ex.event(Event{Kind: EvDegrade, Time: ex.t, Arg: int32(ex.level)}); err != nil {
-				return err
+				return false, err
 			}
 		}
-		ex.saves++
-		if n := ex.opts.CrashAfterSaves; n > 0 && ex.saves >= n {
-			return fmt.Errorf("exec: crash after %d checkpoint saves (t=%v): %w", ex.saves, ex.t, ErrCrashed)
-		}
-		return nil
+		return true, nil
 	}
 	ex.giveups++
 	ex.consec++
-	return ex.escalate(out.code == saveCodePermanent)
+	return false, ex.escalate(out.code == saveCodePermanent)
 }
 
 // escalate moves down the degradation ladder after a commit gave up:

@@ -48,41 +48,69 @@ func TestClassifyStoreError(t *testing.T) {
 	}
 }
 
-// TestLegacyCommitErrorWrapping pins the classified wrapping of the
-// legacy (non-adaptive) save path: exhausted transient retries wrap
-// ErrSaveExhausted, permanent errors wrap ErrSavePermanent without
-// burning retries, and the underlying store sentinel stays reachable
-// through errors.Is in both cases.
+// TestLegacyCommitErrorWrapping pins how the commit path classifies the
+// two store errors the former non-adaptive save loop wrapped, with no
+// resilience options beyond a retry budget: exhausted transient retries
+// journal an exhausted give-up after every attempt, a permanent error
+// gives up after one attempt without burning retries, and the store
+// still returns the underlying sentinel (reachable through errors.Is)
+// that the classification keyed off.
 func TestLegacyCommitErrorWrapping(t *testing.T) {
 	w := chainWorkload(t)
 	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1) }
 	cases := []struct {
-		name    string
-		store   store.Store
-		wrapper error
-		under   error
+		name     string
+		store    store.Store
+		code     int
+		attempts int
+		class    ErrorClass
+		under    error
 	}{
 		{
 			"transient exhausted",
 			store.NewFaultStore(store.NewMemStore(), store.FaultPlan{Seed: 1, WriteFail: 1}),
-			ErrSaveExhausted,
+			saveCodeExhausted, 3, ClassTransient,
 			store.ErrInjectedWrite,
 		},
 		{
 			"permanent quota",
 			store.NewQuotaStore(store.NewQuotaLedger(store.Quota{MaxBytes: 8}, nil), store.NewMemStore()),
-			ErrSavePermanent,
+			saveCodePermanent, 1, ClassPermanent,
 			store.ErrQuota,
 		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Execute(w, src(), Options{Downtime: 1, Store: c.store, SaveRetries: 2})
-			if !errors.Is(err, c.wrapper) {
-				t.Fatalf("err = %v, want wrapped %v", err, c.wrapper)
+			res, err := Execute(w, src(), Options{
+				Downtime: 1, Store: c.store,
+				Adaptive: &AdaptiveOptions{Retry: FixedRetry{Attempts: 2}},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !errors.Is(err, c.under) {
-				t.Fatalf("err = %v lost the underlying %v", err, c.under)
+			if res.Saves != 0 || res.GiveUps == 0 || res.Level != LevelDown {
+				t.Fatalf("saves/give-ups/level = %d/%d/%v, want 0/>0/down", res.Saves, res.GiveUps, res.Level)
+			}
+			first := -1
+			for _, e := range res.Journal {
+				if e.Kind == EvSaveResult {
+					first = int(e.Arg)
+					break
+				}
+			}
+			if first < 0 {
+				t.Fatal("no save-result event in journal")
+			}
+			if code, attempts := first&7, first>>3; code != c.code || attempts != c.attempts {
+				t.Fatalf("first save result: code %d after %d attempts, want code %d after %d",
+					code, attempts, c.code, c.attempts)
+			}
+			serr := c.store.Save("probe", 1, []byte("0123456789"))
+			if !errors.Is(serr, c.under) {
+				t.Fatalf("store error %v lost the underlying %v", serr, c.under)
+			}
+			if got := ClassifyStoreError(serr); got != c.class {
+				t.Fatalf("ClassifyStoreError(%v) = %v, want %v", serr, got, c.class)
 			}
 		})
 	}
@@ -267,29 +295,17 @@ func TestOrderReplannerBothModels(t *testing.T) {
 	}
 }
 
-// legacyEvents filters a journal down to the event kinds the
-// non-adaptive executor emits.
-func legacyEvents(j Journal) Journal {
-	var out Journal
-	for _, e := range j {
-		switch e.Kind {
-		case EvHealth, EvReplan, EvSaveResult, EvDegrade:
-		default:
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // TestAdaptiveCleanStoreMatchesLegacy pins that on a healthy store the
-// adaptive layer is pure observation: no overhead, no replans, no
-// ladder moves, and the execution trajectory (the legacy event
-// subsequence) is byte-identical to the non-adaptive run's.
+// resilience options are pure observation: a run with a backoff policy
+// and a replanner journals byte-for-byte what a run with default
+// options journals (the configuration callers without resilience
+// settings get), with no overhead, replans, give-ups or ladder moves,
+// and one health plus one save-result event per commit.
 func TestAdaptiveCleanStoreMatchesLegacy(t *testing.T) {
 	cp, _ := chainProblem(t)
 	w := chainWorkload(t)
 	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1) }
-	legacy, err := Execute(w, src(), Options{Downtime: 1, Store: store.Checked(store.NewMemStore())})
+	plain, err := Execute(w, src(), Options{Downtime: 1, Store: store.Checked(store.NewMemStore())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,15 +320,15 @@ func TestAdaptiveCleanStoreMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !legacyEvents(adaptive.Journal).Equal(legacy.Journal) {
-		t.Fatal("adaptive run's execution trajectory differs on a healthy store")
+	if !adaptive.Journal.Equal(plain.Journal) {
+		t.Fatal("resilience options changed the journal on a healthy store")
 	}
 	if adaptive.StoreOverhead != 0 || adaptive.Replans != 0 || adaptive.GiveUps != 0 ||
 		adaptive.Level != LevelHealthy {
 		t.Fatalf("healthy store perturbed adaptivity: %+v", *adaptive)
 	}
-	if adaptive.Makespan != legacy.Makespan {
-		t.Fatalf("makespan drifted: %v vs %v", adaptive.Makespan, legacy.Makespan)
+	if adaptive.Makespan != plain.Makespan {
+		t.Fatalf("makespan drifted: %v vs %v", adaptive.Makespan, plain.Makespan)
 	}
 	if adaptive.Journal.Count(EvHealth) != w.Segments() ||
 		adaptive.Journal.Count(EvSaveResult) != w.Segments() {
@@ -330,7 +346,7 @@ func TestAdaptiveReplanUnderDrift(t *testing.T) {
 	w := chainWorkload(t)
 	src := NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1)
 	st := store.Checked(store.NewFaultStore(store.NewMemStore(), store.FaultPlan{
-		Seed: 9, MeanLatency: 3, LogicalKeys: true,
+		Seed: 9, MeanLatency: 3,
 	}))
 	res, err := Execute(w, src, Options{
 		Downtime: 1, Store: st,
@@ -369,7 +385,7 @@ func TestAdaptiveFailover(t *testing.T) {
 	src := NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1)
 	primInner, secInner := store.NewMemStore(), store.NewMemStore()
 	prim := store.Checked(store.NewFaultStore(primInner, store.FaultPlan{
-		Seed: 14, WriteFail: 1, LogicalKeys: true,
+		Seed: 14, WriteFail: 1,
 	}))
 	res, err := Execute(w, src, Options{
 		Downtime: 1, Store: prim,
@@ -403,7 +419,7 @@ func TestAdaptiveFailover(t *testing.T) {
 	again, err := Execute(w, NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1), Options{
 		Downtime: 1,
 		Store: store.Checked(store.NewFaultStore(primInner, store.FaultPlan{
-			Seed: 14, WriteFail: 1, LogicalKeys: true,
+			Seed: 14, WriteFail: 1,
 		})),
 		Adaptive: &AdaptiveOptions{
 			Retry:         FixedRetry{Attempts: 1},
@@ -420,15 +436,16 @@ func TestAdaptiveFailover(t *testing.T) {
 }
 
 // TestAdaptiveDownAndRewind pins the ladder's last rung: with no
-// secondary and a store that never accepts a write, the run switches
-// persistence off after DownAfter give-ups, keeps executing
-// (checkpoint costs still paid — the model is unchanged), skips the
-// remaining saves, and reports the accumulated rewind exposure.
+// secondary and a store that never accepts a write, every save exhausts
+// its retries, the run switches persistence off after DownAfter
+// give-ups, keeps executing (checkpoint costs still paid — the model
+// is unchanged), skips the remaining saves, and reports the accumulated
+// rewind exposure.
 func TestAdaptiveDownAndRewind(t *testing.T) {
 	w := chainWorkload(t)
 	src := NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1)
 	st := store.Checked(store.NewFaultStore(store.NewMemStore(), store.FaultPlan{
-		Seed: 3, WriteFail: 1, LogicalKeys: true,
+		Seed: 3, WriteFail: 1,
 	}))
 	res, err := Execute(w, src, Options{
 		Downtime: 1, Store: st,
@@ -446,11 +463,25 @@ func TestAdaptiveDownAndRewind(t *testing.T) {
 	if res.GiveUps != 2 {
 		t.Fatalf("give-ups = %d, want DownAfter=2", res.GiveUps)
 	}
-	skipped := 0
+	skipped, exhausted := 0, 0
 	for _, e := range res.Journal {
-		if e.Kind == EvSaveResult && int(e.Arg)&7 == saveCodeSkipped {
-			skipped++
+		if e.Kind != EvSaveResult {
+			continue
 		}
+		switch code, attempts := int(e.Arg)&7, int(e.Arg)>>3; code {
+		case saveCodeSkipped:
+			skipped++
+		case saveCodeExhausted:
+			if attempts != 2 {
+				t.Fatalf("exhausted save made %d attempts, want 2 (FixedRetry{1})", attempts)
+			}
+			exhausted++
+		default:
+			t.Fatalf("save-result code %d on an always-failing store", code)
+		}
+	}
+	if exhausted != 2 {
+		t.Fatalf("%d exhausted saves, want DownAfter=2", exhausted)
 	}
 	if want := w.Segments() - 2; skipped != want {
 		t.Fatalf("%d skipped saves, want %d", skipped, want)
@@ -465,12 +496,13 @@ func TestAdaptiveDownAndRewind(t *testing.T) {
 }
 
 // TestAdaptiveQuotaPermanent pins that a quota rejection is treated as
-// permanent: no retries are burned, and the ladder reacts immediately.
+// permanent: no retries are burned, and the first rejected commit takes
+// the ladder straight to LevelDown.
 func TestAdaptiveQuotaPermanent(t *testing.T) {
 	w := chainWorkload(t)
 	src := NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1)
-	ledger := store.NewQuotaLedger(store.Quota{MaxBytes: 16}, nil)
-	st := store.NewQuotaStore(ledger, store.Checked(store.NewMemStore()))
+	ledger := store.NewQuotaLedger(store.Quota{MaxBytes: 8}, nil)
+	st := store.NewQuotaStore(ledger, store.NewMemStore())
 	res, err := Execute(w, src, Options{
 		Downtime: 1, Store: st,
 		Adaptive: &AdaptiveOptions{Retry: FixedRetry{Attempts: 5}},
@@ -484,13 +516,17 @@ func TestAdaptiveQuotaPermanent(t *testing.T) {
 	if res.GiveUps != 1 {
 		t.Fatalf("give-ups = %d, want 1 (immediate)", res.GiveUps)
 	}
-	for _, e := range res.Journal {
-		if e.Kind == EvSaveResult && int(e.Arg)&7 == saveCodePermanent {
-			if attempts := int(e.Arg) >> 3; attempts != 1 {
-				t.Fatalf("permanent error burned %d attempts, want 1", attempts)
-			}
-			return
+	for i, e := range res.Journal {
+		if e.Kind != EvSaveResult {
+			continue
 		}
+		if code, attempts := int(e.Arg)&7, int(e.Arg)>>3; code != saveCodePermanent || attempts != 1 {
+			t.Fatalf("first save result: code %d after %d attempts, want permanent after 1", code, attempts)
+		}
+		if i+1 == len(res.Journal) || res.Journal[i+1].Kind != EvDegrade || DegradeLevel(res.Journal[i+1].Arg) != LevelDown {
+			t.Fatalf("first rejected commit not followed by a degrade to %v", LevelDown)
+		}
+		return
 	}
-	t.Fatal("no permanent save-result event in journal")
+	t.Fatal("no save-result event in journal")
 }

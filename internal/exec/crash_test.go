@@ -43,34 +43,28 @@ func crashScenarios(t *testing.T) []crashScenario {
 }
 
 // runToCompletion drives the executor through a sequence of injected
-// kill points: each invocation crashes at its kill point (or dies on an
-// exhausted-retries store error, which the harness treats the same
-// way), and the next invocation resumes from whatever the store holds.
-// After the kill list is exhausted, a final clean invocation completes
-// the run. It returns the final result and the number of invocations
-// that actually crashed.
-func runToCompletion(t *testing.T, sc crashScenario, st store.Store, kills []int, retries int) (*Result, int) {
+// kill points: each invocation, built by opts(kill), crashes at its
+// kill point, and the next invocation resumes from whatever the store
+// holds. After the kill list is exhausted, a final clean invocation
+// completes the run. It returns the final result and the number of
+// invocations that actually crashed.
+func runToCompletion(t *testing.T, w *Workload, src func() Source, opts func(kill int) Options, kills []int) (*Result, int) {
 	t.Helper()
 	crashes := 0
 	for _, kill := range kills {
-		_, err := Execute(sc.w, sc.src(), Options{
-			RunID: "acceptance", Store: st, Downtime: 1,
-			SaveRetries: retries, CrashAfterEvents: kill,
-		})
+		_, err := Execute(w, src(), opts(kill))
 		switch {
 		case err == nil:
 			// The kill point landed past the end of the run; nothing to
 			// resume, later kill points would also miss.
 			return nil, crashes
-		case errors.Is(err, ErrCrashed) || errors.Is(err, store.ErrInjected):
+		case errors.Is(err, ErrCrashed):
 			crashes++
 		default:
 			t.Fatalf("kill@%d: unexpected error: %v", kill, err)
 		}
 	}
-	res, err := Execute(sc.w, sc.src(), Options{
-		RunID: "acceptance", Store: st, Downtime: 1, SaveRetries: retries,
-	})
+	res, err := Execute(w, src(), opts(0))
 	if err != nil {
 		t.Fatalf("final resume: %v", err)
 	}
@@ -81,11 +75,23 @@ func runToCompletion(t *testing.T, sc crashScenario, st store.Store, kills []int
 // whole runtime: for chain and DAG plans under both cost models, an
 // execution killed at several distinct injected points and resumed each
 // time from the durable file store finishes with a journal
-// byte-identical to the uninterrupted run's, and identical metrics.
+// byte-identical to the uninterrupted store-backed run's, and metrics
+// identical to the store-less run's.
 func TestCrashResumeBitIdenticalJournals(t *testing.T) {
 	for _, sc := range crashScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
-			ref, err := Execute(sc.w, sc.src(), Options{Downtime: 1})
+			bare, err := Execute(sc.w, sc.src(), Options{Downtime: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fileStore := func() store.Store {
+				fs, err := store.NewFileStore(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return store.Checked(fs)
+			}
+			ref, err := Execute(sc.w, sc.src(), Options{RunID: "acceptance", Store: fileStore(), Downtime: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,14 +100,12 @@ func TestCrashResumeBitIdenticalJournals(t *testing.T) {
 				t.Fatalf("reference journal too short (%d events) to place 3 kill points", n)
 			}
 			// Three strictly increasing kill points inside the run, plus
-			// one killing between the final checkpoint event and
-			// completion.
+			// one killing between the final save and completion.
 			kills := []int{n / 5, 2 * n / 5, 7 * n / 10, n - 1}
-			fs, err := store.NewFileStore(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, crashes := runToCompletion(t, sc, store.Checked(fs), kills, 0)
+			st := fileStore()
+			res, crashes := runToCompletion(t, sc.w, sc.src, func(kill int) Options {
+				return Options{RunID: "acceptance", Store: st, Downtime: 1, CrashAfterEvents: kill}
+			}, kills)
 			if res == nil {
 				t.Fatal("kill points missed the run entirely")
 			}
@@ -115,52 +119,42 @@ func TestCrashResumeBitIdenticalJournals(t *testing.T) {
 				t.Fatalf("resumed journal differs from uninterrupted run:\nresumed %d events, reference %d",
 					len(res.Journal), len(ref.Journal))
 			}
-			if res.Metrics != ref.Metrics {
-				t.Fatalf("resumed metrics differ: %+v vs %+v", res.Metrics, ref.Metrics)
+			if res.Metrics != bare.Metrics {
+				t.Fatalf("resumed metrics differ: %+v vs %+v", res.Metrics, bare.Metrics)
 			}
 		})
 	}
 }
 
 // TestCrashResumeUnderFaultInjection repeats the acceptance property
-// with a hostile store: injected clean write failures, torn writes
-// (detected by the codec on resume), silent loss of old checkpoints and
-// transient read failures. Retries absorb what they can; resume falls
-// back past what they cannot; the final journal must still be
-// byte-identical to the undisturbed reference.
+// with a hostile store and several kills per run: the hostile drill
+// rows inject clean write failures, torn writes (detected by the codec
+// on resume), silent loss of old checkpoints and transient read
+// failures. Retries absorb what they can; resume falls back past what
+// they cannot; the final journal and metrics must still be
+// byte-identical to the uninterrupted run's on the same hostile stack.
 func TestCrashResumeUnderFaultInjection(t *testing.T) {
 	for _, sc := range crashScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
-			ref, err := Execute(sc.w, sc.src(), Options{Downtime: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := len(ref.Journal)
-			for _, plan := range []store.FaultPlan{
-				{Seed: 1, WriteFail: 0.3},
-				{Seed: 2, TornWrite: 0.4},
-				{Seed: 3, LoseOld: 0.8},
-				{Seed: 4, ReadFail: 0.3},
-				{Seed: 5, WriteFail: 0.15, TornWrite: 0.15, LoseOld: 0.4, ReadFail: 0.15, MeanLatency: 2},
-			} {
-				fs, err := store.NewFileStore(t.TempDir())
+			for _, d := range hostileDrills(sc) {
+				ref, err := Execute(d.w, d.src(), newAdaptiveStack(d).options(0))
 				if err != nil {
 					t.Fatal(err)
 				}
-				faulty := store.NewFaultStore(fs, plan)
+				n := len(ref.Journal)
 				kills := []int{n / 6, n / 3, n / 2, 4 * n / 5}
-				res, crashes := runToCompletion(t, sc, store.Checked(faulty), kills, 4)
+				res, crashes := runToCompletion(t, d.w, d.src, newAdaptiveStack(d).options, kills)
 				if res == nil {
-					t.Fatalf("plan %+v: kill points missed the run", plan)
+					t.Fatalf("%s: kill points missed the run", d.name)
 				}
 				if crashes < 3 {
-					t.Fatalf("plan %+v: only %d crashes", plan, crashes)
+					t.Fatalf("%s: only %d crashes", d.name, crashes)
 				}
 				if !res.Journal.Equal(ref.Journal) {
-					t.Fatalf("plan %+v: resumed journal differs from reference", plan)
+					t.Fatalf("%s: resumed journal differs from reference", d.name)
 				}
 				if res.Metrics != ref.Metrics {
-					t.Fatalf("plan %+v: metrics differ: %+v vs %+v", plan, res.Metrics, ref.Metrics)
+					t.Fatalf("%s: metrics differ: %+v vs %+v", d.name, res.Metrics, ref.Metrics)
 				}
 			}
 		})
@@ -168,9 +162,8 @@ func TestCrashResumeUnderFaultInjection(t *testing.T) {
 }
 
 // adaptiveDrill is one degraded-store kill/resume scenario: a workload,
-// a fault plan (logical keys — required so a fresh injector deals a
-// resumed run the same outcomes the uninterrupted run saw), an optional
-// quota and secondary, a retry policy and optionally a replanner.
+// a fault plan, an optional quota and secondary, a retry policy and
+// optionally a replanner.
 type adaptiveDrill struct {
 	name      string
 	w         *Workload
@@ -185,8 +178,8 @@ type adaptiveDrill struct {
 // adaptiveStack is one scenario's persistent storage: the inner stores
 // and quota ledger survive invocations, while the fault-injecting
 // wrapper is rebuilt per invocation — process-restart semantics, which
-// resets the injector's logical attempt counters exactly as the
-// contract requires.
+// resets the injector's attempt counters so a fresh injector deals a
+// resumed run the same outcomes the uninterrupted run saw.
 type adaptiveStack struct {
 	d      adaptiveDrill
 	mem    *store.MemStore
@@ -228,11 +221,35 @@ func (a *adaptiveStack) options(crashEvents int) Options {
 	}
 }
 
+// hostileDrills are the hostile-store rows for one crash scenario: clean
+// write failures, torn writes, silent loss of old checkpoints,
+// transient read failures, and all of them at once with latency, each
+// absorbed by FixedRetry{4} without a replanner.
+func hostileDrills(sc crashScenario) []adaptiveDrill {
+	var out []adaptiveDrill
+	for _, h := range []struct {
+		name string
+		plan store.FaultPlan
+	}{
+		{"write-fail", store.FaultPlan{Seed: 1, WriteFail: 0.3}},
+		{"torn", store.FaultPlan{Seed: 2, TornWrite: 0.4}},
+		{"lose-old", store.FaultPlan{Seed: 3, LoseOld: 0.8}},
+		{"read-fail", store.FaultPlan{Seed: 4, ReadFail: 0.3}},
+		{"mixed", store.FaultPlan{Seed: 5, WriteFail: 0.15, TornWrite: 0.15, LoseOld: 0.4, ReadFail: 0.15, MeanLatency: 2}},
+	} {
+		out = append(out, adaptiveDrill{
+			name: sc.name + "/" + h.name, w: sc.w, src: sc.src,
+			plan: h.plan, retry: FixedRetry{Attempts: 4},
+		})
+	}
+	return out
+}
+
 // adaptiveDrills builds the degraded-store scenario matrix: chain plans
 // under drift+replan with exponential backoff and with fixed retries,
 // a quota that runs out mid-run, an always-failing primary with
-// failover, a no-retry ladder collapse, and a DAG live-set plan with
-// the order replanner.
+// failover, a no-retry ladder collapse, a DAG live-set plan with the
+// order replanner, and the hostile-store rows of every crash scenario.
 func adaptiveDrills(t *testing.T) []adaptiveDrill {
 	t.Helper()
 	cp, _ := chainProblem(t)
@@ -252,43 +269,47 @@ func adaptiveDrills(t *testing.T) []adaptiveDrill {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []adaptiveDrill{
+	drills := []adaptiveDrill{
 		{
 			name: "chain/drift-exp-backoff", w: chainWorkload(t), src: chainSrc,
-			plan:  store.FaultPlan{Seed: 11, MeanLatency: 2.5, WriteFail: 0.2, ReadFail: 0.1, LogicalKeys: true},
+			plan:  store.FaultPlan{Seed: 11, MeanLatency: 2.5, WriteFail: 0.2, ReadFail: 0.1},
 			retry: ExpBackoff{Base: 0.5, Cap: 4, MaxAttempts: 5}, replanner: chainRP,
 		},
 		{
 			name: "chain/torn-fixed-retry", w: chainWorkload(t), src: chainSrc,
-			plan:  store.FaultPlan{Seed: 12, MeanLatency: 1.5, WriteFail: 0.3, TornWrite: 0.2, LogicalKeys: true},
+			plan:  store.FaultPlan{Seed: 12, MeanLatency: 1.5, WriteFail: 0.3, TornWrite: 0.2},
 			retry: FixedRetry{Attempts: 3}, replanner: chainRP,
 		},
 		{
 			name: "chain/quota-down", w: chainWorkload(t), src: chainSrc,
-			plan:  store.FaultPlan{Seed: 13, MeanLatency: 1, LogicalKeys: true},
+			plan:  store.FaultPlan{Seed: 13, MeanLatency: 1},
 			quota: &store.Quota{MaxCheckpoints: 2},
 			retry: ExpBackoff{Base: 0.5, MaxAttempts: 3}, replanner: chainRP,
 		},
 		{
 			name: "chain/failover", w: chainWorkload(t), src: chainSrc,
-			plan:      store.FaultPlan{Seed: 14, WriteFail: 1, LogicalKeys: true},
+			plan:      store.FaultPlan{Seed: 14, WriteFail: 1},
 			secondary: true, retry: FixedRetry{Attempts: 1}, replanner: chainRP,
 		},
 		{
 			name: "chain/no-retry", w: chainWorkload(t), src: chainSrc,
-			plan:  store.FaultPlan{Seed: 15, MeanLatency: 1, WriteFail: 0.25, LogicalKeys: true},
+			plan:  store.FaultPlan{Seed: 15, MeanLatency: 1, WriteFail: 0.25},
 			retry: NoRetry{},
 		},
 		{
 			name: "dag/live-set-drift", w: dagW,
 			src:   func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.05}, 101, 2) },
-			plan:  store.FaultPlan{Seed: 16, MeanLatency: 2, WriteFail: 0.2, LogicalKeys: true},
+			plan:  store.FaultPlan{Seed: 16, MeanLatency: 2, WriteFail: 0.2},
 			retry: ExpBackoff{Base: 0.5, Cap: 4, MaxAttempts: 4},
 			replanner: func() Replanner {
 				return OrderReplanner{G: g, Order: order, M: m, CM: cm}
 			},
 		},
 	}
+	for _, sc := range crashScenarios(t) {
+		drills = append(drills, hostileDrills(sc)...)
+	}
+	return drills
 }
 
 // TestAdaptiveCrashResumeEveryEventPoint is the resilience acceptance
@@ -296,8 +317,8 @@ func adaptiveDrills(t *testing.T) []adaptiveDrill {
 // scenario, a run killed at EVERY possible journal length and resumed
 // once finishes with a journal byte-identical to the uninterrupted
 // run's — retries, backoff, replans, quota rejections, failover and
-// persistence-off included. In adaptive mode store trouble degrades
-// rather than errors out, so a single clean resume always completes.
+// persistence-off included. Store trouble degrades rather than errors
+// out, so a single clean resume always completes.
 func TestAdaptiveCrashResumeEveryEventPoint(t *testing.T) {
 	for _, d := range adaptiveDrills(t) {
 		t.Run(d.name, func(t *testing.T) {
@@ -337,21 +358,25 @@ func TestAdaptiveCrashResumeEveryEventPoint(t *testing.T) {
 
 // TestCrashAfterSavesKillPoint covers the save-count kill point: the
 // crash lands immediately after a successful save, the resume picks up
-// exactly there.
+// exactly there, and the re-save of the restored checkpoint on resume
+// does not count — so CrashAfterSaves: 1 advances every invocation by
+// exactly one commit.
 func TestCrashAfterSavesKillPoint(t *testing.T) {
 	w := chainWorkload(t)
 	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.08}, 55, 1) }
-	ref, err := Execute(w, src(), Options{Downtime: 1})
+	ref, err := Execute(w, src(), Options{Store: store.Checked(store.NewMemStore()), Downtime: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := store.Checked(store.NewMemStore())
-	// Crash after every single save: each invocation advances exactly one
-	// segment past its resume point.
 	for i := 0; i < w.Segments()-1; i++ {
-		_, err := Execute(w, src(), Options{Store: st, Downtime: 1, CrashAfterSaves: 1})
+		res, err := Execute(w, src(), Options{Store: st, Downtime: 1, CrashAfterSaves: 1})
 		if !errors.Is(err, ErrCrashed) {
 			t.Fatalf("crash %d: %v, want ErrCrashed", i, err)
+		}
+		if res.Saves != 1 || res.ResumeSeq != uint64(i) {
+			t.Fatalf("crash %d: saves=%d resumed from seq %d, want 1 new save past seq %d",
+				i, res.Saves, res.ResumeSeq, i)
 		}
 	}
 	res, err := Execute(w, src(), Options{Store: st, Downtime: 1})
@@ -360,6 +385,9 @@ func TestCrashAfterSavesKillPoint(t *testing.T) {
 	}
 	if !res.Resumed || res.ResumeSeq != uint64(w.Segments()-1) {
 		t.Fatalf("resumed=%v seq=%d, want resume from seq %d", res.Resumed, res.ResumeSeq, w.Segments()-1)
+	}
+	if res.Saves != 1 {
+		t.Fatalf("final invocation saves = %d, want 1 (the last commit only)", res.Saves)
 	}
 	if !res.Journal.Equal(ref.Journal) {
 		t.Fatal("journal differs after save-count crashes")

@@ -57,10 +57,10 @@ type Metrics struct {
 	RecoveryTime float64
 	// Useful is work plus checkpoint time that stuck.
 	Useful float64
-	// StoreOverhead is virtual time burned on the store side channel in
-	// adaptive mode — injected save latency plus retry backoff delays. It
-	// is included in Makespan but kept out of the sim.RunStats-aligned
-	// fields above (always 0 outside adaptive mode).
+	// StoreOverhead is virtual time burned on the store side channel —
+	// injected save latency plus retry backoff delays. It is included in
+	// Makespan but kept out of the sim.RunStats-aligned fields above
+	// (always 0 without a store).
 	StoreOverhead float64
 }
 
@@ -72,7 +72,9 @@ type Result struct {
 	Journal Journal
 	// Checkpoints counts committed checkpoints in the journal.
 	Checkpoints int
-	// Saves counts store saves performed by this invocation.
+	// Saves counts the successful saves of checkpoints this invocation
+	// committed; the re-save of the restored checkpoint on resume does
+	// not count.
 	Saves int
 	// Resumed reports whether state was restored from the store,
 	// ResumeSeq which checkpoint sequence it was restored from, and
@@ -80,19 +82,19 @@ type Result struct {
 	Resumed        bool
 	ResumeSeq      uint64
 	RestoredEvents int
-	// Replans counts online replans applied over the run's lifetime
-	// (adaptive mode), GiveUps the commits whose save was abandoned,
-	// Level the final degradation-ladder position, and MaxRewind the
-	// worst crash-rewind exposure (virtual time between a moment of
-	// execution and the last PERSISTED checkpoint) the run ever carried.
+	// Replans counts online replans applied over the run's lifetime,
+	// GiveUps the commits whose save was abandoned, Level the final
+	// degradation-ladder position, and MaxRewind the worst crash-rewind
+	// exposure (virtual time between a moment of execution and the last
+	// PERSISTED checkpoint) the run ever carried.
 	Replans   int
 	GiveUps   int
 	Level     DegradeLevel
 	MaxRewind float64
 	// OverheadEstimate is the store-health EWMA estimate of
-	// per-checkpoint overhead at run end (adaptive mode) — the
-	// realized-telemetry figure a planner can feed back into a
-	// latency-aware re-solve (see ProbeStore and ChainReplanner).
+	// per-checkpoint overhead at run end — the realized-telemetry figure
+	// a planner can feed back into a latency-aware re-solve (see
+	// ProbeStore and ChainReplanner).
 	OverheadEstimate float64
 	// Epoch is the fencing epoch this invocation held, when the store
 	// stack carries a lease layer (0 otherwise). A resumed run reports
@@ -119,26 +121,25 @@ type Options struct {
 	// MaxFailures bounds failures tolerated per invocation (0 means the
 	// default of 10 million).
 	MaxFailures int
-	// SaveRetries is how many times a failed store Save or Load is
-	// retried before giving up (0 means none). Retries matter under
-	// store.FaultStore: transient injected faults succeed on retry,
-	// exhausted retries surface the error.
-	SaveRetries int
 	// CrashAfterEvents, when positive, aborts with ErrCrashed as soon as
 	// the journal holds that many events — a deterministic kill point
 	// anywhere in the execution, including between a checkpoint event
 	// and its save.
 	CrashAfterEvents int
 	// CrashAfterSaves, when positive, aborts with ErrCrashed right after
-	// this invocation's n-th successful store save.
+	// the n-th successful save of a checkpoint this invocation committed
+	// (the re-save of the restored checkpoint on resume does not count).
 	CrashAfterSaves int
-	// Adaptive, when non-nil, enables the degraded-store resilience
-	// layer (health-tracked retries with backoff, online replanning,
-	// failover and persistence-off — see AdaptiveOptions). Requires a
-	// Store. SaveRetries is ignored in adaptive mode; Adaptive.Retry
-	// governs retries instead.
+	// Adaptive tunes how committed checkpoints reach the Store: the
+	// retry policy, online replanning, failover and persistence-off
+	// (see AdaptiveOptions). Nil means the zero-value AdaptiveOptions:
+	// no retries and the default ladder. Setting it requires a Store.
 	Adaptive *AdaptiveOptions
 }
+
+// defaultAdaptive is what a nil Options.Adaptive means. It is shared
+// and never written.
+var defaultAdaptive AdaptiveOptions
 
 func (o Options) runID() string {
 	if o.RunID == "" {
@@ -175,7 +176,8 @@ type executor struct {
 	segStart, segEnd []int
 	segCkpt, segRec  []float64
 
-	// Adaptive-mode state; zero / unused when ad is nil.
+	// Persistence state: the store-side options (never nil), the active
+	// store, its health, the degradation ladder and exposure accounting.
 	ad           *AdaptiveOptions
 	store        store.Store // active store (primary, or secondary after failover)
 	health       StoreHealth
@@ -231,16 +233,17 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		segCkpt:  w.segCkpt,
 		segRec:   w.segRec,
 	}
-	if opts.Adaptive != nil {
-		if opts.Store == nil {
-			return nil, errors.New("exec: adaptive mode requires a store")
-		}
-		ex.ad = opts.Adaptive
-		ex.store = opts.Store
-		ex.health = newStoreHealth(opts.Adaptive.Alpha, opts.Adaptive.Window)
-		ex.lastReplanAt = -1
-		ex.baseCost = ex.resolveBaseCost()
+	ex.ad = opts.Adaptive
+	if ex.ad == nil {
+		ex.ad = &defaultAdaptive
+	} else if opts.Store == nil {
+		return nil, errors.New("exec: adaptive options require a store")
 	}
+	ex.store = opts.Store
+	ex.health = newStoreHealth(ex.ad.Alpha, ex.ad.Window)
+	ex.lastReplanAt = -1
+	ex.baseCost = ex.resolveBaseCost()
+	res := &Result{}
 	if opts.Store != nil {
 		// Bind the run's virtual clock into every time-dependent store
 		// layer (RemoteStore partition evaluation). The closure reads
@@ -248,12 +251,9 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		// delivery times track the commit's own retries.
 		clock := func() float64 { return ex.t + ex.pending }
 		store.BindClock(opts.Store, opts.runID(), clock)
-		if opts.Adaptive != nil && opts.Adaptive.Secondary != nil {
-			store.BindClock(opts.Adaptive.Secondary, opts.runID(), clock)
+		if ex.ad.Secondary != nil {
+			store.BindClock(ex.ad.Secondary, opts.runID(), clock)
 		}
-	}
-	res := &Result{}
-	if opts.Store != nil {
 		// Epoch-fenced writes: when the stack carries a lease layer,
 		// claim the run before touching it. A fresh LeaseStore instance
 		// (a new process) bumps the epoch, fencing every older writer's
@@ -281,21 +281,20 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		res.Resumed = true
 		res.ResumeSeq = st.seq
 		res.RestoredEvents = len(st.journal)
-		if ex.ad != nil {
-			if err := ex.restoreAdaptive(st); err != nil {
-				return res, err
-			}
+		if err := ex.restoreAdaptive(st); err != nil {
+			return res, err
 		}
 	}
 	err = func() error {
-		if st != nil && ex.ad != nil {
+		if st != nil {
 			// Re-save the restored payload through the normal post-encode
 			// path. The save outcomes of commit k happen AFTER payload k is
 			// encoded, so they are not inside it; re-saving against the
 			// logically-keyed store stack regenerates the same outcome
 			// events, clock overhead and ladder moves the uninterrupted run
-			// produced at that commit.
-			if err := ex.persist(st.seq, raw); err != nil {
+			// produced at that commit. It is not a new commit, so it does
+			// not count toward Saves or CrashAfterSaves.
+			if _, err := ex.persist(st.seq, raw); err != nil {
 				return err
 			}
 		}
@@ -309,7 +308,7 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 			// Anti-entropy at the executor's idle point between commits,
 			// keyed to the absolute segment index so the cadence is
 			// resume-invariant.
-			if ex.ad != nil && ex.ad.SyncEvery > 0 && (s+1)%ex.ad.SyncEvery == 0 {
+			if ex.ad.SyncEvery > 0 && (s+1)%ex.ad.SyncEvery == 0 {
 				ex.syncPass()
 			}
 		}
@@ -318,13 +317,13 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		}
 		// One final pass after completion so the run ends with every
 		// replica it can reach converged.
-		if ex.ad != nil && ex.ad.SyncEvery > 0 {
+		if ex.ad.SyncEvery > 0 {
 			ex.syncPass()
 		}
 		return nil
 	}()
 	ex.met.Makespan = ex.t
-	if ex.ad != nil {
+	if opts.Store != nil {
 		ex.noteExposure()
 	}
 	res.Metrics = ex.met
@@ -335,9 +334,7 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 	res.GiveUps = ex.giveups
 	res.Level = ex.level
 	res.MaxRewind = ex.maxRewind
-	if ex.ad != nil {
-		res.OverheadEstimate = ex.health.OverheadEstimate()
-	}
+	res.OverheadEstimate = ex.health.OverheadEstimate()
 	res.Syncs = ex.syncs
 	res.SyncCopied = ex.syncCopied
 	res.SyncFailures = ex.syncFailures
@@ -465,42 +462,6 @@ func (ex *executor) runSegment(s int) error {
 	}
 }
 
-// commit persists the post-segment state. The EvCheckpoint event was
-// already appended by runSegment, BEFORE the state is encoded here, so
-// the event is always inside the persisted journal prefix: a resume
-// from seq k replays from a journal that already records checkpoint k.
-// In adaptive mode the commit additionally journals health, may replan,
-// and routes the save through the retry policy and degradation ladder.
-func (ex *executor) commit(s int) error {
-	if ex.ad != nil {
-		return ex.adaptiveCommit(s)
-	}
-	if ex.opts.Store == nil {
-		return nil
-	}
-	seq := uint64(s) + 1
-	payload := encodeState(ex.snapshot(seq, uint64(s)+1))
-	var err error
-	for try := 0; try <= ex.opts.SaveRetries; try++ {
-		if err = ex.opts.Store.Save(ex.opts.runID(), seq, payload); err == nil {
-			break
-		}
-		if ClassifyStoreError(err) != ClassTransient {
-			// Retrying a permanent error (quota, corrupt entry) burns the
-			// budget without any chance of success.
-			return fmt.Errorf("exec: saving checkpoint %d: %w: %w", seq, ErrSavePermanent, err)
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("exec: saving checkpoint %d: %w: %w", seq, ErrSaveExhausted, err)
-	}
-	ex.saves++
-	if n := ex.opts.CrashAfterSaves; n > 0 && ex.saves >= n {
-		return fmt.Errorf("exec: crash after %d checkpoint saves (t=%v): %w", ex.saves, ex.t, ErrCrashed)
-	}
-	return nil
-}
-
 // resumeCandidate is one listed checkpoint and the store holding it.
 type resumeCandidate struct {
 	seq       uint64
@@ -523,7 +484,7 @@ func (ex *executor) listOnce(st store.Store) ([]uint64, error) {
 }
 
 // listResume merges the primary's checkpoint listing with the
-// secondary's (adaptive mode with a failover store), newest first,
+// failover secondary's (when one is configured), newest first,
 // preferring the secondary on equal sequence numbers — the secondary
 // only ever holds post-failover saves, which are the later writes.
 func (ex *executor) listResume() ([]resumeCandidate, error) {
@@ -532,7 +493,7 @@ func (ex *executor) listResume() ([]resumeCandidate, error) {
 		return nil, fmt.Errorf("exec: listing checkpoints: %w", err)
 	}
 	var sec []uint64
-	if ex.ad != nil && ex.ad.Secondary != nil {
+	if ex.ad.Secondary != nil {
 		if sec, err = ex.listOnce(ex.ad.Secondary); err != nil {
 			return nil, fmt.Errorf("exec: listing secondary checkpoints: %w", err)
 		}
@@ -555,42 +516,31 @@ func (ex *executor) listResume() ([]resumeCandidate, error) {
 	return cands, nil
 }
 
-// loadOnce loads one checkpoint with retries: the legacy SaveRetries
-// count, or — in adaptive mode — the retry policy's attempt limit.
-// Backoff delays are NOT served: resume happens outside the modeled
-// timeline (an uninterrupted run performs no loads), so load retries
-// must not advance any clock.
+// loadOnce loads one checkpoint, retrying transient errors up to the
+// retry policy's attempt limit. Backoff delays are NOT served: resume
+// happens outside the modeled timeline (an uninterrupted run performs
+// no loads), so load retries must not advance any clock.
 func (ex *executor) loadOnce(st store.Store, seq uint64) ([]byte, error) {
-	if ex.ad != nil {
-		pol := ex.ad.retry()
-		for attempt := 1; ; attempt++ {
-			data, err := st.Load(ex.opts.runID(), seq)
-			if err == nil {
-				return data, nil
-			}
-			if ClassifyStoreError(err) != ClassTransient {
-				return nil, err
-			}
-			if _, retry := pol.Backoff(attempt, 0); !retry {
-				return nil, err
-			}
+	pol := ex.ad.retry()
+	for attempt := 1; ; attempt++ {
+		data, err := st.Load(ex.opts.runID(), seq)
+		if err == nil {
+			return data, nil
+		}
+		if ClassifyStoreError(err) != ClassTransient {
+			return nil, err
+		}
+		if _, retry := pol.Backoff(attempt, 0); !retry {
+			return nil, err
 		}
 	}
-	var data []byte
-	var err error
-	for try := 0; try <= ex.opts.SaveRetries; try++ {
-		if data, err = st.Load(ex.opts.runID(), seq); err == nil {
-			break
-		}
-	}
-	return data, err
 }
 
 // loadResume finds the newest loadable, decodable checkpoint of this
 // run, skipping past corrupt frames, injected read failures (after
 // retries) and lost entries to older checkpoints, consulting the
 // secondary store too when one is configured. It returns the decoded
-// state together with the raw payload (the adaptive resume re-saves it)
+// state together with the raw payload (the resume re-saves it)
 // or nil with no error when the run has no usable checkpoint (fresh
 // start). A fingerprint mismatch is a loud error: the store holds a
 // different workload's state and silently restarting would mask it.
@@ -635,9 +585,8 @@ func (ex *executor) loadResume() (*execState, []byte, error) {
 // execState is the decoded checkpoint payload: every accumulator the
 // executor owns, bit-exact, plus the source position and the journal
 // prefix. Bit-exact float round-tripping is what makes resumed
-// accumulations identical to uninterrupted ones. The adaptive block
-// (health, ladder, hysteresis anchors, exposure accounting) rides along
-// as zeros for legacy runs.
+// accumulations identical to uninterrupted ones, the persistence block
+// (health, ladder, hysteresis anchors, exposure accounting) included.
 type execState struct {
 	fp      uint64
 	seq     uint64

@@ -190,26 +190,65 @@ func TestKeyedSourceRestoreRewinds(t *testing.T) {
 	}
 }
 
-// TestStoreDoesNotPerturbExecution pins that attaching a store changes
-// nothing about the trajectory: journals with and without persistence
-// are byte-identical.
+// executionEvents filters a journal down to the execution trajectory,
+// dropping the persistence events a store-backed run adds at each
+// commit.
+func executionEvents(j Journal) Journal {
+	var out Journal
+	for _, e := range j {
+		switch e.Kind {
+		case EvHealth, EvReplan, EvSaveResult, EvDegrade:
+		default:
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestStoreDoesNotPerturbExecution pins that attaching a healthy store
+// changes nothing about the trajectory: with the default options and
+// with the full resilience options alike, the journal minus persistence
+// events is byte-identical to the store-less run's, the metrics are
+// equal, and each commit adds exactly one health and one save-result
+// event — no overhead, replans, give-ups or ladder moves.
 func TestStoreDoesNotPerturbExecution(t *testing.T) {
+	cp, _ := chainProblem(t)
 	w := chainWorkload(t)
-	bare, err := Execute(w, NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1), Options{Downtime: 1})
+	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1) }
+	bare, err := Execute(w, src(), Options{Downtime: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, err := Execute(w, NewKeyedSource(failure.Exponential{Lambda: 0.08}, 5, 1), Options{
-		Downtime: 1, Store: store.Checked(store.NewMemStore()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bare.Journal.Equal(stored.Journal) {
-		t.Fatal("journal differs with a store attached")
-	}
-	if stored.Saves != w.Segments() {
-		t.Fatalf("saves = %d, want %d", stored.Saves, w.Segments())
+	for name, ad := range map[string]*AdaptiveOptions{
+		"default": nil,
+		"resilient": {
+			Retry:       ExpBackoff{Base: 0.5, Cap: 4},
+			Replanner:   ChainReplanner{CP: cp},
+			ReplanRatio: 1.5,
+		},
+	} {
+		stored, err := Execute(w, src(), Options{
+			Downtime: 1, Store: store.Checked(store.NewMemStore()), Adaptive: ad,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !executionEvents(stored.Journal).Equal(bare.Journal) {
+			t.Fatalf("%s: execution trajectory differs with a store attached", name)
+		}
+		if stored.Metrics != bare.Metrics {
+			t.Fatalf("%s: metrics differ with a store attached: %+v vs %+v", name, stored.Metrics, bare.Metrics)
+		}
+		if stored.Saves != w.Segments() {
+			t.Fatalf("%s: saves = %d, want %d", name, stored.Saves, w.Segments())
+		}
+		if stored.Journal.Count(EvHealth) != w.Segments() || stored.Journal.Count(EvSaveResult) != w.Segments() {
+			t.Fatalf("%s: expected one health + save-result event per commit: %d/%d",
+				name, stored.Journal.Count(EvHealth), stored.Journal.Count(EvSaveResult))
+		}
+		if stored.Replans != 0 || stored.GiveUps != 0 || stored.Level != LevelHealthy {
+			t.Fatalf("%s: healthy store perturbed the persistence path: %+v", name, *stored)
+		}
 	}
 }
 

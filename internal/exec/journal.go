@@ -32,7 +32,7 @@ const (
 	// EvComplete closes the journal; Time is the final makespan.
 	EvComplete
 	// EvHealth records the store-health estimate at a commit, BEFORE the
-	// state is encoded (adaptive mode only): Arg is the degradation
+	// state is encoded (runs with a store only): Arg is the degradation
 	// level, Seq holds Float64bits of the effective checkpoint-cost
 	// estimate C_eff the replan decision is about to use.
 	EvHealth

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -186,12 +187,16 @@ func planE18(cfg Config) (*Plan, error) {
 		},
 	})
 	type crashOut struct{ identical bool }
+	// A drill's backing store persists across invocations; the fault
+	// injector and codec are rebuilt over it per invocation, as a
+	// process restart would.
 	type drill struct {
 		plan     string
 		storeTag string
 		workload func() (*exec.Workload, error)
 		source   func() exec.Source
-		mkStore  func() (store.Store, func(), error)
+		backing  func() (store.Store, func(), error)
+		faults   *store.FaultPlan
 	}
 	chainDP := func() (*exec.Workload, error) { return exec.NewChainWorkload(cp, dp.CheckpointAfter) }
 	dagLive := func() (*exec.Workload, error) {
@@ -201,68 +206,72 @@ func planE18(cfg Config) (*Plan, error) {
 		}
 		return exec.NewDAGWorkload(gd, sol.Plan(), core.LiveSetCosts{R0: 0.5})
 	}
+	fileBacking := func() (store.Store, func(), error) {
+		dir, err := os.MkdirTemp("", "e18-store-*")
+		if err != nil {
+			return nil, nil, err
+		}
+		fs, err := store.NewFileStore(dir)
+		if err != nil {
+			os.RemoveAll(dir)
+			return nil, nil, err
+		}
+		return fs, func() { os.RemoveAll(dir) }, nil
+	}
+	memBacking := func() (store.Store, func(), error) { return store.NewMemStore(), func() {}, nil }
 	drills := []drill{
 		{
 			plan: "chain/dp", storeTag: "file+crc",
 			workload: chainDP,
 			source:   func() exec.Source { return exec.NewKeyedSource(failure.Exponential{Lambda: lambda}, 1234, 1) },
-			mkStore: func() (store.Store, func(), error) {
-				dir, err := os.MkdirTemp("", "e18-store-*")
-				if err != nil {
-					return nil, nil, err
-				}
-				fs, err := store.NewFileStore(dir)
-				if err != nil {
-					os.RemoveAll(dir)
-					return nil, nil, err
-				}
-				return store.Checked(fs), func() { os.RemoveAll(dir) }, nil
-			},
+			backing:  fileBacking,
 		},
 		{
 			plan: "chain/dp", storeTag: "file+crc+faults",
 			workload: chainDP,
 			source:   func() exec.Source { return exec.NewKeyedSource(failure.Exponential{Lambda: lambda}, 1234, 1) },
-			mkStore: func() (store.Store, func(), error) {
-				dir, err := os.MkdirTemp("", "e18-store-*")
-				if err != nil {
-					return nil, nil, err
-				}
-				fs, err := store.NewFileStore(dir)
-				if err != nil {
-					os.RemoveAll(dir)
-					return nil, nil, err
-				}
-				faulty := store.NewFaultStore(fs, store.FaultPlan{
-					Seed: 99, WriteFail: 0.1, TornWrite: 0.1, LoseOld: 0.3, ReadFail: 0.1,
-				})
-				return store.Checked(faulty), func() { os.RemoveAll(dir) }, nil
-			},
+			backing:  fileBacking,
+			faults:   &store.FaultPlan{Seed: 99, WriteFail: 0.1, TornWrite: 0.1, LoseOld: 0.3, ReadFail: 0.1},
 		},
 		{
 			plan: "dag/live-set", storeTag: "mem+crc+faults",
 			workload: dagLive,
 			source:   func() exec.Source { return exec.NewKeyedSource(failure.Exponential{Lambda: lambda}, 1234, 2) },
-			mkStore: func() (store.Store, func(), error) {
-				faulty := store.NewFaultStore(store.NewMemStore(), store.FaultPlan{
-					Seed: 7, WriteFail: 0.15, TornWrite: 0.15, LoseOld: 0.4, ReadFail: 0.15,
-				})
-				return store.Checked(faulty), func() {}, nil
-			},
+			backing:  memBacking,
+			faults:   &store.FaultPlan{Seed: 7, WriteFail: 0.15, TornWrite: 0.15, LoseOld: 0.4, ReadFail: 0.15},
 		},
 	}
 	for _, d := range drills {
 		d := d
+		opts := func(backing store.Store, kill int) exec.Options {
+			st := backing
+			if d.faults != nil {
+				st = store.NewFaultStore(st, *d.faults)
+			}
+			return exec.Options{
+				RunID: "drill", Store: store.Checked(st), Downtime: down, CrashAfterEvents: kill,
+				Adaptive: &exec.AdaptiveOptions{Retry: exec.FixedRetry{Attempts: 4}},
+			}
+		}
 		p.Job(crash, func(s *rng.Stream) (RowOut, error) {
 			w, err := d.workload()
 			if err != nil {
 				return RowOut{}, err
 			}
-			ref, err := exec.Execute(w, d.source(), exec.Options{Downtime: down})
+			bare, err := exec.Execute(w, d.source(), exec.Options{Downtime: down})
 			if err != nil {
 				return RowOut{}, err
 			}
-			st, cleanup, err := d.mkStore()
+			refBacking, refCleanup, err := d.backing()
+			if err != nil {
+				return RowOut{}, err
+			}
+			defer refCleanup()
+			ref, err := exec.Execute(w, d.source(), opts(refBacking, 0))
+			if err != nil {
+				return RowOut{}, err
+			}
+			backing, cleanup, err := d.backing()
 			if err != nil {
 				return RowOut{}, err
 			}
@@ -271,23 +280,21 @@ func planE18(cfg Config) (*Plan, error) {
 			kills := []int{ne / 5, 2 * ne / 5, 3 * ne / 5, 4 * ne / 5}
 			crashes := 0
 			for _, kill := range kills {
-				_, err := exec.Execute(w, d.source(), exec.Options{
-					RunID: "drill", Store: st, Downtime: down,
-					SaveRetries: 4, CrashAfterEvents: kill,
-				})
-				if err == nil {
-					return RowOut{}, fmt.Errorf("E18: kill point %d did not crash", kill)
+				_, err := exec.Execute(w, d.source(), opts(backing, kill))
+				if !errors.Is(err, exec.ErrCrashed) {
+					return RowOut{}, fmt.Errorf("E18: kill point %d did not crash: %v", kill, err)
 				}
 				crashes++
 			}
-			res, err := exec.Execute(w, d.source(), exec.Options{
-				RunID: "drill", Store: st, Downtime: down, SaveRetries: 4,
-			})
+			res, err := exec.Execute(w, d.source(), opts(backing, 0))
 			if err != nil {
 				return RowOut{}, err
 			}
+			// The resumed journal must equal the uninterrupted store-backed
+			// run's; the metrics must equal the store-less run's (the
+			// drills inject no latency, so persistence costs no time).
 			identical := res.Journal.Equal(ref.Journal)
-			metricsOK := res.Metrics == ref.Metrics
+			metricsOK := res.Metrics == bare.Metrics
 			return RowOut{
 				Cells: []result.Cell{
 					result.Str(d.plan),

@@ -126,7 +126,7 @@ type linkKey struct {
 // independent of interleaving because every draw is keyed, never
 // sequenced. Attempt counters reset with the instance, so a process
 // restart re-observes the same outcomes the uninterrupted run drew —
-// the same contract store.FaultPlan.LogicalKeys documents.
+// the same contract store.FaultPlan documents.
 type Network struct {
 	cfg Config
 

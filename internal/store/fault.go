@@ -26,26 +26,20 @@ var (
 // Keyed-stream contract (the determinism guarantee): every operation —
 // Save, Load, List and Delete alike — draws its injected latency and
 // fault decision from a private stream derived from the plan seed and
-// the operation's key, never from shared mutable stream state. The
-// draw order within an operation is fixed: latency first, then the
+// the operation's logical key, never from shared mutable stream state.
+// The draw order within an operation is fixed: latency first, then the
 // fault decision, then any fault-shaping draws (torn-write cut point,
-// lose-old victim). Two keying modes exist:
+// lose-old victim).
 //
-//   - Sequential (LogicalKeys = false, the default): operation i of the
-//     injector's lifetime draws from Keyed(i). The same operation
-//     SEQUENCE always injects the same faults, which is what the
-//     kill/resume drills of a single executor need.
-//
-//   - Logical (LogicalKeys = true): an operation draws from a stream
-//     keyed by (op kind, run, seq, attempt), where attempt counts how
-//     many times this exact (kind, run, seq) operation has been issued
-//     to this injector instance. The injected outcome is then a pure
-//     function of the logical operation, independent of how operations
-//     from different runs interleave — the mode required when several
-//     tenants share one injector concurrently, and when a resumed run
-//     must re-observe the same outcomes a fresh injector dealt the
-//     uninterrupted run (process restarts reset the attempt counters,
-//     exactly like the uninterrupted run's first encounter).
+// The key is (op kind, run, seq, attempt), where attempt counts how
+// many times this exact (kind, run, seq) operation has been issued to
+// this injector instance. The injected outcome is therefore a pure
+// function of the logical operation, independent of how operations
+// from different runs interleave — which is what lets several tenants
+// share one injector concurrently, and what lets a resumed run
+// re-observe the outcomes a fresh injector dealt the uninterrupted run
+// (a process restart builds a new injector, whose attempt counters
+// start where the uninterrupted run's first encounter did).
 type FaultPlan struct {
 	// Seed drives every injection decision.
 	Seed uint64
@@ -73,9 +67,6 @@ type FaultPlan struct {
 	// virtual clock accounting if it cares, and tests read it to pin
 	// determinism.
 	MeanLatency float64
-	// LogicalKeys selects logical (per-operation identity) keying over
-	// sequential (lifetime op index) keying; see the type comment.
-	LogicalKeys bool
 }
 
 // FaultStats counts what the injector did.
@@ -106,7 +97,6 @@ type FaultStore struct {
 	plan  FaultPlan
 
 	mu       sync.Mutex
-	ops      uint64
 	stats    FaultStats
 	runLat   map[string]float64
 	runOps   map[string]uint64
@@ -181,18 +171,14 @@ func hashRun(run string) uint64 {
 	return h.Sum64()
 }
 
-// opStream returns the keyed stream for an operation, advancing the
-// relevant counter (lifetime index or per-operation attempt count).
+// opStream returns the keyed stream for an operation, advancing its
+// attempt count.
 func (f *FaultStore) opStream(kind uint64, run string, seq uint64) *rng.Stream {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.ops++
 	f.stats.Ops++
 	f.runOps[run]++
 	f.lastLat[run] = 0
-	if !f.plan.LogicalKeys {
-		return rng.New(f.plan.Seed).Keyed(f.ops)
-	}
 	k := faultOpKey{kind: kind, run: run, seq: seq}
 	f.attempts[k]++
 	return rng.New(f.plan.Seed).Keyed(kind).Keyed(hashRun(run)).Keyed(seq).Keyed(f.attempts[k])

@@ -49,8 +49,8 @@ func (c RemoteConfig) timeout(net netsim.Config) float64 {
 // is charged and the inner operation runs.
 //
 // Partition windows are evaluated at the run's bound virtual time
-// (BindClock); an unbound run reads time zero. Like FaultStore in
-// LogicalKeys mode, every outcome is a pure function of the logical
+// (BindClock); an unbound run reads time zero. Like FaultStore,
+// every outcome is a pure function of the logical
 // operation identity and its attempt ordinal, so concurrent runs never
 // perturb each other and kill/resume replays re-observe identical
 // outcomes.

@@ -125,7 +125,7 @@ func TestRemoteStoreReplayDeterministic(t *testing.T) {
 func TestRemoteStoreFoldsInnerLatency(t *testing.T) {
 	netCfg := netsim.Config{Seed: 5, Latency: 0.1}
 	net := netsim.New(netCfg)
-	fault := NewFaultStore(NewMemStore(), FaultPlan{Seed: 6, MeanLatency: 2, LogicalKeys: true})
+	fault := NewFaultStore(NewMemStore(), FaultPlan{Seed: 6, MeanLatency: 2})
 	rs := NewRemoteStore(fault, net, netCfg, RemoteConfig{Timeout: 100})
 	st := Checked(rs)
 	if err := st.Save("r", 1, []byte("x")); err != nil {

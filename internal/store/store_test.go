@@ -162,34 +162,96 @@ func TestFileStoreSurvivesDebris(t *testing.T) {
 	}
 }
 
+// TestFaultStoreDeterminism pins the keyed-stream contract: an
+// operation's injected outcome is a pure function of (kind, run, seq,
+// attempt). The same script replays identically on a fresh injector
+// (attempt counters start over with the instance), every fault class
+// fires, and outcomes are invariant under interleaved traffic from
+// other runs — the properties kill/resume identity and multi-tenant
+// drills rest on.
 func TestFaultStoreDeterminism(t *testing.T) {
-	plan := store.FaultPlan{Seed: 42, WriteFail: 0.2, TornWrite: 0.2, LoseOld: 0.3, ReadFail: 0.2, MeanLatency: 3}
-	script := func() (string, store.FaultStats) {
+	plan := store.FaultPlan{Seed: 1, WriteFail: 0.2, TornWrite: 0.2, LoseOld: 0.3, ReadFail: 0.2, MeanLatency: 3}
+	payload := []byte(strings.Repeat("x", 64))
+	// script saves then loads seqs 1..20 of run r, loading the newest
+	// seq twice more as retries, and logs each operation's outcome and
+	// exact latency. With noise, traffic on disjoint keys (another run,
+	// and lists of r) precedes every logged operation.
+	script := func(noise bool) (string, store.FaultStats) {
 		fs := store.NewFaultStore(store.NewMemStore(), plan)
 		var log strings.Builder
-		for seq := uint64(1); seq <= 20; seq++ {
-			err := fs.Save("r", seq, []byte(strings.Repeat("x", 64)))
-			log.WriteString(errSig(err))
+		op := func(f func() error) {
+			if noise {
+				fs.Save("other", 1, payload)
+				fs.Load("other", 1)
+				fs.List("r")
+			}
+			err := f()
+			fmt.Fprintf(&log, "%s%v ", errSig(err), fs.LastOp("r").Latency)
 		}
 		for seq := uint64(1); seq <= 20; seq++ {
-			_, err := fs.Load("r", seq)
-			log.WriteString(errSig(err))
+			op(func() error { return fs.Save("r", seq, payload) })
+		}
+		for seq := uint64(1); seq <= 22; seq++ {
+			op(func() error { _, err := fs.Load("r", min(seq, 20)); return err })
 		}
 		return log.String(), fs.Stats()
 	}
-	log1, st1 := script()
-	log2, st2 := script()
+	log1, st1 := script(false)
+	log2, st2 := script(false)
 	if log1 != log2 {
 		t.Fatalf("fault sequences differ:\n%s\n%s", log1, log2)
 	}
 	if st1 != st2 {
 		t.Fatalf("stats differ: %+v vs %+v", st1, st2)
 	}
+	if noisy, _ := script(true); noisy != log1 {
+		t.Fatalf("outcomes perturbed by interleaved traffic:\nquiet %s\nnoisy %s", log1, noisy)
+	}
 	if st1.WriteFails == 0 || st1.TornWrites == 0 || st1.ReadFails == 0 || st1.LostOld == 0 {
 		t.Fatalf("plan injected nothing in some class: %+v", st1)
 	}
 	if st1.Latency <= 0 {
 		t.Fatalf("no injected latency: %+v", st1)
+	}
+}
+
+// TestFaultStoreLogicalKeysInvariance pins the logical keying: an
+// operation's injected outcome is a pure function of (kind, run, seq,
+// attempt), so retries of one save draw the same sequence whether or
+// not other runs' traffic is interleaved, and a fresh injector instance
+// starts its attempt counters over.
+func TestFaultStoreLogicalKeysInvariance(t *testing.T) {
+	plan := store.FaultPlan{Seed: 33, WriteFail: 0.4, ReadFail: 0.4, MeanLatency: 1}
+	payload := []byte(strings.Repeat("x", 32))
+	// Trace of (err signature, latency) for attempts 1..6 of save r/7.
+	trace := func(noise bool) []string {
+		fs := store.NewFaultStore(store.NewMemStore(), plan)
+		var out []string
+		for i := 0; i < 6; i++ {
+			if noise {
+				// Interleave unrelated traffic that op-index keying would
+				// be perturbed by.
+				fs.Save("other", uint64(i), payload)
+				fs.Load("r", 3)
+				fs.List("r")
+			}
+			err := fs.Save("r", 7, payload)
+			out = append(out, errSig(err)+fmt.Sprint(fs.LastOp("r").Latency))
+		}
+		return out
+	}
+	quiet, noisy := trace(false), trace(true)
+	if !reflect.DeepEqual(quiet, noisy) {
+		t.Fatalf("logical outcomes perturbed by interleaved traffic:\nquiet %v\nnoisy %v", quiet, noisy)
+	}
+	// A fresh instance resets attempt counters: its first save of r/7
+	// matches attempt 1, not attempt 7.
+	fresh := trace(false)
+	if fresh[0] != quiet[0] {
+		t.Fatalf("fresh injector attempt 1 differs: %v vs %v", fresh[0], quiet[0])
+	}
+	if got := len(quiet); got != 6 {
+		t.Fatalf("trace length %d", got)
 	}
 }
 
@@ -306,46 +368,6 @@ func fsLastOp(t *testing.T, plan store.FaultPlan) store.RunOp {
 		t.Fatal("FaultStore does not expose LastOp")
 	}
 	return op
-}
-
-// TestFaultStoreLogicalKeysInvariance pins the logical keying mode: an
-// operation's injected outcome is a pure function of (kind, run, seq,
-// attempt), so it is invariant under interleaved traffic from other
-// runs and resets with a fresh injector instance — the property
-// adaptive kill/resume identity and multi-tenant drills rest on.
-func TestFaultStoreLogicalKeysInvariance(t *testing.T) {
-	plan := store.FaultPlan{Seed: 33, WriteFail: 0.4, ReadFail: 0.4, MeanLatency: 1, LogicalKeys: true}
-	payload := []byte(strings.Repeat("x", 32))
-	// Trace of (err signature, latency) for attempts 1..6 of save r/7.
-	trace := func(noise bool) []string {
-		fs := store.NewFaultStore(store.NewMemStore(), plan)
-		var out []string
-		for i := 0; i < 6; i++ {
-			if noise {
-				// Interleave unrelated traffic that sequential keying would
-				// be perturbed by.
-				fs.Save("other", uint64(i), payload)
-				fs.Load("r", 3)
-				fs.List("r")
-			}
-			err := fs.Save("r", 7, payload)
-			out = append(out, errSig(err)+fmt.Sprint(fs.LastOp("r").Latency))
-		}
-		return out
-	}
-	quiet, noisy := trace(false), trace(true)
-	if !reflect.DeepEqual(quiet, noisy) {
-		t.Fatalf("logical outcomes perturbed by interleaved traffic:\nquiet %v\nnoisy %v", quiet, noisy)
-	}
-	// A fresh instance resets attempt counters: its first save of r/7
-	// matches attempt 1, not attempt 7.
-	fresh := trace(false)
-	if fresh[0] != quiet[0] {
-		t.Fatalf("fresh injector attempt 1 differs: %v vs %v", fresh[0], quiet[0])
-	}
-	if got := len(quiet); got != 6 {
-		t.Fatalf("trace length %d", got)
-	}
 }
 
 // TestQuotaStore pins the retained-state quota semantics: replace

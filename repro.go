@@ -279,7 +279,7 @@ func ExecutePlanResilient(g *Graph, m Model, checkpointAfter []bool, meanLatency
 	}
 	meanC /= float64(len(cp.Ckpt))
 	st := store.Checked(store.NewFaultStore(store.NewMemStore(), store.FaultPlan{
-		Seed: seed, WriteFail: writeFail, MeanLatency: meanLatency, LogicalKeys: true,
+		Seed: seed, WriteFail: writeFail, MeanLatency: meanLatency,
 	}))
 	res, err := exec.Execute(w,
 		exec.NewKeyedSource(failure.Exponential{Lambda: m.Lambda}, seed, 1),
