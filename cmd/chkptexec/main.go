@@ -796,8 +796,8 @@ func runMaintenance(cfg config, out io.Writer) error {
 			return fmt.Errorf("store stack has no scrubber (need -replicas >= 2)")
 		}
 		rep, err := sc.ScrubRun(cfg.runID)
-		fmt.Fprintf(out, "scrub %s: %d seqs, %d replica copies checked, %d corrupt, %d repaired, %d unrepairable, %d repair writes failed\n",
-			cfg.runID, rep.Seqs, rep.Checked, rep.Corrupt, rep.Repaired, rep.Unrepairable, rep.CopyFailures)
+		fmt.Fprintf(out, "scrub %s: %d seqs, %d replica copies checked, %d corrupt, %d repaired, %d unrepairable, %d repair writes failed, %d probes, %d bytes read\n",
+			cfg.runID, rep.Seqs, rep.Checked, rep.Corrupt, rep.Repaired, rep.Unrepairable, rep.CopyFailures, rep.Probes, rep.BytesRead)
 		if err != nil {
 			return err
 		}
@@ -808,8 +808,8 @@ func runMaintenance(cfg config, out io.Writer) error {
 			return fmt.Errorf("store stack has no syncer (need -replicas >= 2)")
 		}
 		rep, err := sy.SyncRun(cfg.runID)
-		fmt.Fprintf(out, "sync %s: %d seqs, %d replica copies written, %d verified in sync, %d load failures, %d copy failures, %d replicas unlisted — converged %v\n",
-			cfg.runID, rep.Seqs, rep.Copied, rep.InSync, rep.LoadFailures, rep.CopyFailures, rep.Unlisted, rep.Converged())
+		fmt.Fprintf(out, "sync %s: %d seqs, %d replica copies written, %d verified in sync, %d load failures, %d copy failures, %d replicas unlisted, %d probes, %d bytes read — converged %v\n",
+			cfg.runID, rep.Seqs, rep.Copied, rep.InSync, rep.LoadFailures, rep.CopyFailures, rep.Unlisted, rep.Probes, rep.BytesRead, rep.Converged())
 		if err != nil {
 			return err
 		}

@@ -674,11 +674,15 @@ func replicaFiles(t *testing.T, dir string, replica int, runID string) []string 
 	return files
 }
 
-var syncLine = regexp.MustCompile(`sync run: (\d+) seqs, (\d+) replica copies written`)
+var (
+	syncLine  = regexp.MustCompile(`sync run: (\d+) seqs, (\d+) replica copies written, .*, (\d+) probes, (\d+) bytes read`)
+	scrubLine = regexp.MustCompile(`scrub run: (\d+) seqs, .*, (\d+) probes, (\d+) bytes read`)
+)
 
 // TestMaintenanceSync pins `chkptexec -sync`: a checkpoint deleted from
 // one replica after a clean quorum run is copied back by one
-// anti-entropy pass (no workflow needed), and a second pass is a no-op.
+// anti-entropy pass (no workflow needed), and a second pass is a no-op
+// that loads one copy per seq to verify the agreeing digests.
 func TestMaintenanceSync(t *testing.T) {
 	base := t.TempDir()
 	wf := chainWorkflow(t, base, 12)
@@ -720,7 +724,10 @@ func TestMaintenanceSync(t *testing.T) {
 	}
 	m = syncLine.FindStringSubmatch(again.String())
 	if m == nil || m[2] != "0" {
-		t.Errorf("second sync pass not a no-op:\n%s", again.String())
+		t.Fatalf("second sync pass not a no-op:\n%s", again.String())
+	}
+	if m[3] != m[1] || m[4] == "0" {
+		t.Errorf("second sync pass made %s probes over %s seqs, want one verifying load per seq:\n%s", m[3], m[1], again.String())
 	}
 	if len(replicaFiles(t, cfg.dir, 2, "run")) != len(replicaFiles(t, cfg.dir, 0, "run")) {
 		t.Error("replica r2 still missing checkpoints after sync")
@@ -764,6 +771,14 @@ func TestMaintenanceScrub(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "1 corrupt, 1 repaired, 0 unrepairable") {
 		t.Errorf("scrub did not repair the torn replica:\n%s", out.String())
+	}
+	// One probe per seq, plus one for the torn copy's own digest group.
+	m := scrubLine.FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("no scrub line:\n%s", out.String())
+	}
+	if seqs, _ := strconv.Atoi(m[1]); m[2] != strconv.Itoa(seqs+1) || m[3] == "0" {
+		t.Errorf("scrub made %s probes over %s seqs, want seqs+1:\n%s", m[2], m[1], out.String())
 	}
 
 	// Rot on two of three replicas beats the R=2 clean quorum.

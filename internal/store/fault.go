@@ -273,6 +273,15 @@ func (f *FaultStore) List(run string) ([]uint64, error) {
 	return f.inner.List(run)
 }
 
+// ListInfo draws from the same keyed stream family as List (op kind
+// opList, seq 0, one attempt), so a metadata listing charges the same
+// latency a List would and leaves every other stream untouched.
+func (f *FaultStore) ListInfo(run string) ([]Info, error) {
+	s := f.opStream(opList, run, 0)
+	f.lat(s, run)
+	return ListInfo(f.inner, run)
+}
+
 // Delete pays injected latency; no faults are injected (deletion
 // failure modes are covered by LoseOld on the save path).
 func (f *FaultStore) Delete(run string, seq uint64) error {
@@ -287,4 +296,7 @@ func (f *FaultStore) count(fn func(*FaultStats)) {
 	f.mu.Unlock()
 }
 
-var _ Store = (*FaultStore)(nil)
+var (
+	_ Store      = (*FaultStore)(nil)
+	_ InfoLister = (*FaultStore)(nil)
+)

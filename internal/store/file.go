@@ -1,8 +1,10 @@
 package store
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -97,6 +99,46 @@ func (f *FileStore) List(run string) ([]uint64, error) {
 	return out, nil
 }
 
+// ListInfo lists run's checkpoints with sizes and SHA-256 digests,
+// ascending. Every call re-hashes every file: bytes on disk can rot, so
+// a cached digest could vouch for content that is no longer there. A
+// file deleted between the directory read and the hash is skipped.
+func (f *FileStore) ListInfo(run string) ([]Info, error) {
+	seqs, err := f.List(run)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Info, 0, len(seqs))
+	for _, seq := range seqs {
+		info, err := hashFile(seq, f.path(run, seq))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, info)
+	}
+	return out, nil
+}
+
+// hashFile streams one checkpoint file through SHA-256.
+func hashFile(seq uint64, path string) (Info, error) {
+	file, err := os.Open(path)
+	if err != nil {
+		return Info{}, err
+	}
+	defer file.Close()
+	h := sha256.New()
+	n, err := io.Copy(h, file)
+	if err != nil {
+		return Info{}, err
+	}
+	info := Info{Seq: seq, Size: n}
+	h.Sum(info.Sum[:0])
+	return info, nil
+}
+
 // Delete removes checkpoint (run, seq) and makes the removal durable.
 func (f *FileStore) Delete(run string, seq uint64) error {
 	if err := validRun(run); err != nil {
@@ -112,4 +154,7 @@ func (f *FileStore) Delete(run string, seq uint64) error {
 	return fsx.SyncDir(filepath.Join(f.root, run))
 }
 
-var _ Store = (*FileStore)(nil)
+var (
+	_ Store      = (*FileStore)(nil)
+	_ InfoLister = (*FileStore)(nil)
+)

@@ -77,6 +77,10 @@ type QuorumStore struct {
 	runLat  map[string]float64
 	lastLat map[string]float64
 	stats   QuorumStats
+	// verified holds, per run and seq, the replica-level digest a codec
+	// load has proven clean; SyncRun and ScrubRun skip copies listing
+	// it.
+	verified map[string]map[uint64]Sum
 }
 
 // NewQuorumStore builds a quorum store over the given replicas. W and
@@ -106,6 +110,7 @@ func NewQuorumStore(replicas []Store, cfg QuorumConfig) (*QuorumStore, error) {
 		runOps:   make(map[string]uint64),
 		runLat:   make(map[string]float64),
 		lastLat:  make(map[string]float64),
+		verified: make(map[string]map[uint64]Sum),
 	}
 	return q, nil
 }
@@ -172,6 +177,29 @@ func (q *QuorumStore) replicaOp(i int, run string, op func(Store) error) (float6
 		return after.Latency, err
 	}
 	return 0, err
+}
+
+// readCost is what quorum reads did besides returning payloads:
+// replica loads issued, payload bytes they returned, and read repairs
+// written.
+type readCost struct {
+	probes  int
+	bytes   int64
+	repairs int
+}
+
+// readReplica loads seq from replica i, charging the read to c, and
+// returns the virtual latency the replica stack charged.
+func (q *QuorumStore) readReplica(i int, run string, seq uint64, c *readCost) ([]byte, float64, error) {
+	var payload []byte
+	lat, err := q.replicaOp(i, run, func(s Store) error {
+		var ierr error
+		payload, ierr = s.Load(run, seq)
+		return ierr
+	})
+	c.probes++
+	c.bytes += int64(len(payload))
+	return payload, lat, err
 }
 
 // permanentErr classifies a replica failure: quota, corruption and
@@ -279,14 +307,15 @@ type reply struct {
 // critical path. All R responses negative means the checkpoint
 // definitively does not exist at this quorum: ErrNotFound.
 func (q *QuorumStore) Load(run string, seq uint64) ([]byte, error) {
+	return q.load(run, seq, &readCost{})
+}
+
+// load is Load, charging its replica reads and read repairs to c, so a
+// caller counts its own repairs and never another run's.
+func (q *QuorumStore) load(run string, seq uint64, c *readCost) ([]byte, error) {
 	n := len(q.replicas)
 	contact := func(i int, offset float64) reply {
-		var payload []byte
-		lat, err := q.replicaOp(i, run, func(s Store) error {
-			var ierr error
-			payload, ierr = s.Load(run, seq)
-			return ierr
-		})
+		payload, lat, err := q.readReplica(i, run, seq, c)
 		rp := reply{idx: i, at: offset + lat, err: err}
 		switch {
 		case err == nil:
@@ -402,6 +431,7 @@ func (q *QuorumStore) Load(run string, seq uint64) ([]byte, error) {
 	sort.Ints(stale)
 	for _, i := range stale {
 		if _, err := q.replicaOp(i, run, func(s Store) error { return s.Save(run, seq, payload) }); err == nil {
+			c.repairs++
 			q.mu.Lock()
 			q.stats.Repairs++
 			q.mu.Unlock()
@@ -472,6 +502,9 @@ func (q *QuorumStore) Delete(run string, seq uint64) error {
 			}
 		}
 	}
+	q.mu.Lock()
+	delete(q.verified[run], seq)
+	q.mu.Unlock()
 	if len(acks) >= q.w {
 		q.record(run, kthSmallest(acks, q.w))
 		if !deleted {

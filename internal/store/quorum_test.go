@@ -280,6 +280,14 @@ func runScript(q *QuorumStore, run string) (oks []bool, lats []float64, loads []
 	seqs, err := q.List(run)
 	oks = append(oks, err == nil)
 	loads = append(loads, fmt.Sprintf("list=%v", seqs))
+	// The passes read and write the run's keys on every replica, and
+	// their reports must not depend on other runs sharing the stack.
+	for pass := 0; pass < 2; pass++ {
+		sync, err := q.SyncRun(run)
+		scrub, serr := q.ScrubRun(run)
+		oks = append(oks, err == nil, serr == nil)
+		loads = append(loads, fmt.Sprintf("sync=%+v scrub=%+v", sync, scrub))
+	}
 	return
 }
 

@@ -209,17 +209,34 @@ func (r *RemoteStore) Load(run string, seq uint64) ([]byte, error) {
 // List routes the enumeration through the network (seq 0, like the
 // fault layer), then the inner store.
 func (r *RemoteStore) List(run string) ([]uint64, error) {
-	lat, err := r.transit(opList, "list", run, 0)
 	var seqs []uint64
+	err := r.list(run, func() (err error) {
+		seqs, err = r.inner.List(run)
+		return err
+	})
+	return seqs, err
+}
+
+// ListInfo routes a metadata listing exactly like List — same message,
+// same deadline, same charge — then lists the inner stack's digests.
+func (r *RemoteStore) ListInfo(run string) ([]Info, error) {
+	var infos []Info
+	err := r.list(run, func() (err error) {
+		infos, err = ListInfo(r.inner, run)
+		return err
+	})
+	return infos, err
+}
+
+// list sends one enumeration message and, on delivery, runs op against
+// the inner store.
+func (r *RemoteStore) list(run string, op func() error) error {
+	lat, err := r.transit(opList, "list", run, 0)
 	if err == nil {
-		lat, err = r.innerLat(run, lat, func() error {
-			var ierr error
-			seqs, ierr = r.inner.List(run)
-			return ierr
-		})
+		lat, err = r.innerLat(run, lat, op)
 	}
 	r.record(run, lat)
-	return seqs, err
+	return err
 }
 
 // Delete routes the delete through the network, then the inner store.
@@ -235,4 +252,5 @@ func (r *RemoteStore) Delete(run string, seq uint64) error {
 var (
 	_ Store       = (*RemoteStore)(nil)
 	_ ClockBinder = (*RemoteStore)(nil)
+	_ InfoLister  = (*RemoteStore)(nil)
 )

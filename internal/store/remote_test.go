@@ -149,3 +149,50 @@ func TestRemoteConfigDefaultTimeout(t *testing.T) {
 		t.Fatalf("default timeout floor %v, want 1", got)
 	}
 }
+
+// TestRemoteStoreListInfoLikeList: a metadata listing is one list
+// message — a partition times it out at the full deadline, and on a
+// healthy network it charges exactly what List charges.
+func TestRemoteStoreListInfoLikeList(t *testing.T) {
+	netCfg := netsim.Config{
+		Seed:       4,
+		Latency:    0.1,
+		Jitter:     0.05,
+		Partitions: []netsim.Window{{Start: 10, End: 20, Isolated: []string{"store"}}},
+	}
+	charges := func(list func(Store) error) []RunOp {
+		st, rs := remoteOverMem(netCfg, RemoteConfig{Timeout: 2})
+		now := 0.0
+		BindClock(st, "r", func() float64 { return now })
+		if err := st.Save("r", 1, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+		var ops []RunOp
+		for i := 0; i < 3; i++ {
+			if err := list(st); err != nil {
+				t.Fatalf("listing before the window: %v", err)
+			}
+			ops = append(ops, rs.LastOp("r"))
+		}
+		now = 15
+		if err := list(st); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("listing during the window = %v, want ErrTimeout", err)
+		}
+		ops = append(ops, rs.LastOp("r"))
+		return ops
+	}
+	viaList := charges(func(s Store) error { _, err := s.List("r"); return err })
+	viaInfo := charges(func(s Store) error {
+		infos, err := ListInfo(s, "r")
+		if err == nil && (len(infos) != 1 || !infos[0].Known()) {
+			t.Fatalf("ListInfo through the remote layer = %+v", infos)
+		}
+		return err
+	})
+	if fmt.Sprint(viaList) != fmt.Sprint(viaInfo) {
+		t.Fatalf("ListInfo charges %v, List charges %v", viaInfo, viaList)
+	}
+	if last := viaInfo[len(viaInfo)-1]; last.Latency != 2 {
+		t.Fatalf("timed-out listing charged %v, want the 2.0 timeout", last.Latency)
+	}
+}

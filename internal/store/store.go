@@ -19,6 +19,7 @@
 package store
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"strings"
@@ -37,6 +38,12 @@ var ErrCorrupt = errors.New("store: corrupt checkpoint")
 // same sequence, and the latest write wins. Implementations must be safe
 // for concurrent use by multiple goroutines operating on distinct runs;
 // a single run is always driven by one executor at a time.
+//
+// Metadata listings (ListInfo) reach through decorators by Unwrap, so a
+// decorator whose List does work of its own — charges latency, can time
+// out, injects faults — must implement InfoLister and charge exactly
+// what its List charges. Only layers whose List forwards unchanged may
+// leave it out.
 type Store interface {
 	// Save persists payload as checkpoint seq of run.
 	Save(run string, seq uint64, payload []byte) error
@@ -140,6 +147,59 @@ func RunLatency(s Store, run string) (latency float64, ok bool) {
 		s = u.Unwrap()
 	}
 	return 0, false
+}
+
+// Sum is a SHA-256 digest of the bytes a store holds for one key.
+type Sum [sha256.Size]byte
+
+// Info is one key's listing metadata: its sequence number, the size of
+// the stored bytes and their digest. A zero Sum means the digest is
+// unknown (the stack had no InfoLister); an unknown digest matches
+// nothing, not even another unknown one.
+type Info struct {
+	Seq  uint64
+	Size int64
+	Sum  Sum
+}
+
+// Known reports whether the listing carries a real digest.
+func (i Info) Known() bool { return i.Sum != Sum{} }
+
+// InfoLister is implemented by stores that can list a run's keys with
+// content digests without sending the payloads. Backends (MemStore,
+// FileStore) hash what they hold; decorators whose List does work
+// (RemoteStore, FaultStore) charge the listing like a List and forward
+// it inward.
+type InfoLister interface {
+	// ListInfo returns run's keys in ascending seq order with their
+	// sizes and digests. A run with no checkpoints yields an empty list.
+	ListInfo(run string) ([]Info, error)
+}
+
+// ListInfo returns run's key metadata from the first layer of s that
+// implements InfoLister, walking Unwrap through layers whose List
+// forwards unchanged. A stack with no implementer falls back to List
+// and returns unknown digests.
+func ListInfo(s Store, run string) ([]Info, error) {
+	for t := s; t != nil; {
+		if l, isLister := t.(InfoLister); isLister {
+			return l.ListInfo(run)
+		}
+		u, isWrapper := t.(Unwrapper)
+		if !isWrapper {
+			break
+		}
+		t = u.Unwrap()
+	}
+	seqs, err := s.List(run)
+	if err != nil {
+		return nil, err
+	}
+	infos := make([]Info, len(seqs))
+	for i, sq := range seqs {
+		infos[i] = Info{Seq: sq}
+	}
+	return infos, nil
 }
 
 // Latest returns the highest sequence number persisted for run, with

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -449,4 +450,105 @@ func TestQuotaStore(t *testing.T) {
 			t.Fatalf("Used(acme) = %d, want 5", b)
 		}
 	})
+}
+
+// TestListInfoContract pins the metadata listing on every
+// implementation: the same keys as List, digests that follow every
+// overwrite and delete (a cached digest never outlives its bytes), and
+// SHA-256 of the stored bytes on the backends.
+func TestListInfoContract(t *testing.T) {
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			infos, err := store.ListInfo(s, "run")
+			if err != nil || len(infos) != 0 {
+				t.Fatalf("ListInfo on empty store: %v, %v", infos, err)
+			}
+			for seq, payload := range map[uint64]string{1: "one", 2: "two", 3: "three"} {
+				if err := s.Save("run", seq, []byte(payload)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sums := func() map[uint64]store.Sum {
+				t.Helper()
+				infos, err := store.ListInfo(s, "run")
+				if err != nil {
+					t.Fatal(err)
+				}
+				seqs, _ := s.List("run")
+				got := make(map[uint64]store.Sum)
+				for i, info := range infos {
+					if i >= len(seqs) || info.Seq != seqs[i] || !info.Known() {
+						t.Fatalf("ListInfo = %+v, List = %v", infos, seqs)
+					}
+					got[info.Seq] = info.Sum
+				}
+				if len(infos) != len(seqs) {
+					t.Fatalf("ListInfo lists %d keys, List %d", len(infos), len(seqs))
+				}
+				return got
+			}
+			before := sums()
+			if _, isChecked := s.(store.Unwrapper); !isChecked {
+				if before[1] != sha256.Sum256([]byte("one")) {
+					t.Fatalf("digest of seq 1 is not SHA-256 of its bytes")
+				}
+				if infos, _ := store.ListInfo(s, "run"); infos[2].Size != int64(len("three")) {
+					t.Fatalf("size of seq 3 = %d", infos[2].Size)
+				}
+			}
+			if err := s.Save("run", 2, []byte("two'")); err != nil {
+				t.Fatal(err)
+			}
+			after := sums()
+			if after[2] == before[2] || after[1] != before[1] {
+				t.Fatalf("overwrite of seq 2: digests %x → %x", before[2], after[2])
+			}
+			if err := s.Save("run", 2, []byte("two")); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Delete("run", 3); err != nil {
+				t.Fatal(err)
+			}
+			restored := sums()
+			if restored[2] != before[2] || len(restored) != 2 {
+				t.Fatalf("after restore and delete: %v", restored)
+			}
+			if _, err := store.ListInfo(s, "a/b"); err == nil {
+				t.Fatal("ListInfo accepted a path-unsafe run ID")
+			}
+		})
+	}
+}
+
+// TestFaultStoreListInfoChargesLikeList: a metadata listing draws the
+// same latency a List draws and advances the same stream, so the next
+// operation's outcome is the same either way.
+func TestFaultStoreListInfoChargesLikeList(t *testing.T) {
+	plan := store.FaultPlan{Seed: 5, MeanLatency: 1.5, ReadFail: 0.3}
+	trace := func(list func(*store.FaultStore)) []store.RunOp {
+		fs := store.NewFaultStore(store.NewMemStore(), plan)
+		if err := fs.Save("a", 1, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+		var ops []store.RunOp
+		for i := 0; i < 3; i++ {
+			list(fs)
+			ops = append(ops, fs.LastOp("a"))
+			fs.Load("a", 1)
+			ops = append(ops, fs.LastOp("a"))
+		}
+		return ops
+	}
+	viaList := trace(func(fs *store.FaultStore) { fs.List("a") })
+	viaInfo := trace(func(fs *store.FaultStore) {
+		if infos, err := store.ListInfo(fs, "a"); err != nil || len(infos) != 1 || !infos[0].Known() {
+			t.Fatalf("ListInfo through the fault layer = %+v, %v", infos, err)
+		}
+	})
+	if !reflect.DeepEqual(viaList, viaInfo) {
+		t.Fatalf("ListInfo charges %v, List charges %v", viaInfo, viaList)
+	}
+	if viaList[0].Latency <= 0 {
+		t.Fatalf("listing paid no latency: %v", viaList)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 
 	"repro/internal/netsim"
@@ -227,4 +228,240 @@ func TestFindSyncerAndScrubberWalkStacks(t *testing.T) {
 	if _, ok := FindSyncer(NewMemStore()); ok {
 		t.Fatal("FindSyncer over bare mem must report absent")
 	}
+}
+
+// saveSeqs writes payload-1 … payload-k for run through the quorum.
+func saveSeqs(t *testing.T, q *QuorumStore, run string, k int) {
+	t.Helper()
+	for seq := uint64(1); seq <= uint64(k); seq++ {
+		if err := q.Save(run, seq, []byte(fmt.Sprintf("%s-payload-%d", run, seq))); err != nil {
+			t.Fatalf("Save %s/%d: %v", run, seq, err)
+		}
+	}
+}
+
+// TestSyncRunLoadsOnlyWhatChanged pins the O(divergence) contract: the
+// first pass over agreeing replicas verifies each digest with one load,
+// a second pass loads nothing, and a later pass loads only the seq a
+// new save touched.
+func TestSyncRunLoadsOnlyWhatChanged(t *testing.T) {
+	q, mems := quorumStack(netsim.Config{Seed: 21, Latency: 0.05}, QuorumConfig{W: 2, R: 2}, 3, FaultPlan{})
+	saveSeqs(t, q, "r", 4)
+
+	first, err := q.SyncRun("r")
+	if err != nil || !first.Converged() || first.InSync != 12 || first.Probes != 4 || first.BytesRead == 0 {
+		t.Fatalf("first SyncRun = %+v, %v; want 12 in sync from one verifying load per seq", first, err)
+	}
+	again, err := q.SyncRun("r")
+	if err != nil || !again.Converged() || again.InSync != 12 || again.Copied != 0 {
+		t.Fatalf("second SyncRun = %+v, %v; want a converged no-op", again, err)
+	}
+	if again.Probes != 0 || again.BytesRead != 0 {
+		t.Fatalf("second SyncRun over a converged run loaded %d payloads (%d bytes), want none", again.Probes, again.BytesRead)
+	}
+
+	if err := q.Save("r", 5, []byte("r-payload-5")); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Save("r", 2, []byte("rewritten")); err != nil {
+		t.Fatal(err)
+	}
+	third, err := q.SyncRun("r")
+	if err != nil || !third.Converged() || third.Probes != 2 || third.InSync != 15 {
+		t.Fatalf("third SyncRun = %+v, %v; want two verifying loads (seqs 2 and 5)", third, err)
+	}
+	replicasIdentical(t, mems, "r")
+}
+
+// TestIdenticalCorruptionEverywhere: when every replica holds the same
+// corrupt bytes the digests agree, but the verifying load rejects them,
+// so sync does not report convergence and scrub fails loudly — also
+// after an earlier pass verified the key's clean bytes.
+func TestIdenticalCorruptionEverywhere(t *testing.T) {
+	q, mems := quorumStack(netsim.Config{Seed: 22, Latency: 0.05}, QuorumConfig{W: 2, R: 2}, 3, FaultPlan{})
+	saveSeqs(t, q, "r", 2)
+	if rep, err := q.SyncRun("r"); err != nil || !rep.Converged() {
+		t.Fatalf("clean SyncRun = %+v, %v", rep, err)
+	}
+	for i := range mems {
+		corruptReplica(t, mems, i, "r", 1)
+	}
+
+	rep, err := q.SyncRun("r")
+	if err == nil || rep.Converged() || rep.LoadFailures != 1 || rep.Copied != 0 {
+		t.Fatalf("SyncRun over identical corruption = %+v, %v; want one load failure, unconverged", rep, err)
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("SyncRun error = %v, want it to wrap ErrCorrupt", err)
+	}
+	scrub, err := q.ScrubRun("r")
+	if !errors.Is(err, ErrUnrepairable) || scrub.Corrupt != 3 || scrub.Unrepairable != 1 || scrub.Repaired != 0 {
+		t.Fatalf("ScrubRun over identical corruption = %+v, %v; want ErrUnrepairable", scrub, err)
+	}
+}
+
+// TestScrubRepairsBitFlipOnDisk: a file store re-hashes its files at
+// every listing, so a byte flipped on disk after a clean scrub changes
+// that key's digest, and the next scrub probes exactly the rotten copy
+// (plus one load of the verified clean copy as repair source).
+func TestScrubRepairsBitFlipOnDisk(t *testing.T) {
+	files := make([]*FileStore, 3)
+	reps := make([]Store, 3)
+	for i := range files {
+		fs, err := NewFileStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i], reps[i] = fs, Checked(fs)
+	}
+	q, err := NewQuorumStore(reps, QuorumConfig{W: 2, R: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	saveSeqs(t, q, "r", 3)
+	if rep, err := q.ScrubRun("r"); err != nil || rep.Corrupt != 0 || rep.Probes != 3 {
+		t.Fatalf("clean ScrubRun = %+v, %v; want one probe per seq", rep, err)
+	}
+
+	before, err := ListInfo(files[1], "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := files[1].path("r", 2)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(codecMagic)+12] ^= 0x01 // first payload byte
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	after, err := ListInfo(files[1], "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range after {
+		changed := after[i].Sum != before[i].Sum
+		if changed != (after[i].Seq == 2) {
+			t.Fatalf("seq %d digest changed = %v after flipping a byte of seq 2", after[i].Seq, changed)
+		}
+	}
+
+	rep, err := q.ScrubRun("r")
+	if err != nil || rep.Corrupt != 1 || rep.Repaired != 1 || rep.Checked != 9 || rep.Probes != 2 {
+		t.Fatalf("ScrubRun after bit flip = %+v, %v; want the flipped copy found and repaired with two probes", rep, err)
+	}
+	fixed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(files[0].path("r", 2))
+	if err != nil || !bytes.Equal(fixed, good) {
+		t.Fatalf("repaired file differs from the clean replica (%v)", err)
+	}
+}
+
+// blindReplica hides its inner store's capabilities, so the quorum sees
+// unknown digests for every key.
+type blindReplica struct{ Store }
+
+// TestSyncRunWithoutInfoLister: replicas that cannot list digests take
+// the full path on every pass, and still converge.
+func TestSyncRunWithoutInfoLister(t *testing.T) {
+	mems := make([]*MemStore, 3)
+	reps := make([]Store, 3)
+	for i := range mems {
+		mems[i] = NewMemStore()
+		reps[i] = blindReplica{Checked(mems[i])}
+	}
+	q, err := NewQuorumStore(reps, QuorumConfig{W: 2, R: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	saveSeqs(t, q, "r", 3)
+	infos, err := ListInfo(reps[0], "r")
+	if err != nil || len(infos) != 3 || infos[0].Seq != 1 || infos[0].Known() {
+		t.Fatalf("ListInfo without a lister = %+v, %v; want the listed seqs with unknown digests", infos, err)
+	}
+	if err := mems[2].Delete("r", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := Checked(mems[1]).Save("r", 3, []byte("divergent")); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := q.SyncRun("r")
+	if err != nil || !rep.Converged() || rep.Seqs != 3 {
+		t.Fatalf("SyncRun without digests = %+v, %v; want converged", rep, err)
+	}
+	replicasIdentical(t, mems, "r")
+	again, err := q.SyncRun("r")
+	if err != nil || !again.Converged() || again.Copied != 0 || again.InSync != 9 || again.Probes == 0 {
+		t.Fatalf("second SyncRun without digests = %+v, %v; want the full path, converged, nothing copied", again, err)
+	}
+}
+
+// repairOtherRun is a replica decorator that, the first time run "a"
+// loads a checkpoint from it, reads run "b" through the quorum — a
+// concurrent reader of another run whose read repair lands while a's
+// sync pass is in flight.
+type repairOtherRun struct {
+	Store
+	q     *QuorumStore
+	fired bool
+}
+
+func (r *repairOtherRun) Load(run string, seq uint64) ([]byte, error) {
+	if run == "a" && !r.fired {
+		r.fired = true
+		if _, err := r.q.Load("b", 1); err != nil {
+			return nil, err
+		}
+	}
+	return r.Store.Load(run, seq)
+}
+
+func (r *repairOtherRun) Unwrap() Store { return r.Store }
+
+// TestSyncCopiedExcludesOtherRunsRepairs: a pass counts only the copies
+// its own reads and copies wrote, never a read repair on another run of
+// the same QuorumStore.
+func TestSyncCopiedExcludesOtherRunsRepairs(t *testing.T) {
+	mems := make([]*MemStore, 3)
+	reps := make([]Store, 3)
+	for i := range mems {
+		mems[i] = NewMemStore()
+		reps[i] = Checked(mems[i])
+	}
+	hook := &repairOtherRun{Store: reps[0]}
+	reps[0] = hook
+	q, err := NewQuorumStore(reps, QuorumConfig{W: 2, R: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hook.q = q
+	saveSeqs(t, q, "a", 1)
+	saveSeqs(t, q, "b", 1)
+	// b is stale on replica 0, so reading it repairs replica 0; a is
+	// missing on replica 2, so a's pass quorum-loads it and copies once.
+	if err := mems[0].Delete("b", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := mems[2].Delete("a", 1); err != nil {
+		t.Fatal(err)
+	}
+
+	before := q.Stats().Repairs
+	rep, err := q.SyncRun("a")
+	if err != nil || !rep.Converged() {
+		t.Fatalf("SyncRun(a) = %+v, %v", rep, err)
+	}
+	if !hook.fired || q.Stats().Repairs-before != 2 {
+		t.Fatalf("drill did not run: fired=%v, quorum repairs %d (want a's copy and b's read repair)", hook.fired, q.Stats().Repairs-before)
+	}
+	if rep.Copied != 1 {
+		t.Fatalf("SyncRun(a).Copied = %d, want 1: b's read repair must not count", rep.Copied)
+	}
+	replicasIdentical(t, mems, "a")
+	replicasIdentical(t, mems, "b")
 }
