@@ -67,7 +67,23 @@ type Measurement struct {
 	// States records the lattice solver's peak stored DP states for the
 	// BENCH_dag points (0 elsewhere).
 	States int64 `json:"states,omitempty"`
+	// BytesWritten records the checkpoint payload bytes one op hands to
+	// its store (the exec_run store rows; 0 elsewhere).
+	BytesWritten int64 `json:"bytes_written,omitempty"`
 }
+
+// countingStore tallies the payload bytes handed to Save.
+type countingStore struct {
+	store.Store
+	written int64
+}
+
+func (c *countingStore) Save(run string, seq uint64, payload []byte) error {
+	c.written += int64(len(payload))
+	return c.Store.Save(run, seq, payload)
+}
+
+func (c *countingStore) Unwrap() store.Store { return c.Store }
 
 // Report is the JSON document benchtraj emits.
 type Report struct {
@@ -712,23 +728,28 @@ func measureExec() (*Report, error) {
 			BytesPerOp:  r.AllocedBytesPerOp(),
 		})
 	}
-	g, err := dag.Chain(64, dag.DefaultWeights(), rng.New(5))
-	if err != nil {
-		return nil, err
-	}
 	m, err := expectation.NewModel(0.05, 0.5)
 	if err != nil {
 		return nil, err
 	}
-	cp, _, err := core.NewChainProblem(g, m, 0)
-	if err != nil {
-		return nil, err
+	// chainWorkload is the DP-planned n-task chain every exec row runs.
+	chainWorkload := func(n int) (*core.ChainProblem, *exec.Workload, error) {
+		g, err := dag.Chain(n, dag.DefaultWeights(), rng.New(5))
+		if err != nil {
+			return nil, nil, err
+		}
+		cp, _, err := core.NewChainProblem(g, m, 0)
+		if err != nil {
+			return nil, nil, err
+		}
+		dp, err := core.SolveChainDP(cp)
+		if err != nil {
+			return nil, nil, err
+		}
+		w, err := exec.NewChainWorkload(cp, dp.CheckpointAfter)
+		return cp, w, err
 	}
-	dp, err := core.SolveChainDP(cp)
-	if err != nil {
-		return nil, err
-	}
-	w, err := exec.NewChainWorkload(cp, dp.CheckpointAfter)
+	cp, w, err := chainWorkload(64)
 	if err != nil {
 		return nil, err
 	}
@@ -744,9 +765,16 @@ func measureExec() (*Report, error) {
 	src := exec.NewKeyedSource(failure.Exponential{Lambda: 0.05}, 6, 1)
 	// One op = one complete execution (plus, for the stored variants,
 	// purging the run so the next op starts cold rather than resuming).
-	benchExec := func(st store.Store) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
+	// The stored variants also record the payload bytes one op writes.
+	benchExec := func(name string, w *exec.Workload, inner store.Store) {
+		var st store.Store
+		cs := &countingStore{Store: inner}
+		if inner != nil {
+			st = cs
+		}
+		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
+			cs.written = 0
 			for i := 0; i < b.N; i++ {
 				src.Reset()
 				opts := exec.Options{Downtime: 0.5}
@@ -768,11 +796,24 @@ func measureExec() (*Report, error) {
 					}
 				}
 			}
+			cs.written /= int64(b.N)
 		})
+		record(name, len(w.Order), r)
+		report.Results[len(report.Results)-1].BytesWritten = cs.written
 	}
-	record("exec_run/store=none", 64, benchExec(nil))
-	record("exec_run/store=mem", 64, benchExec(store.Checked(store.NewMemStore())))
-	record("exec_run/store=file", 64, benchExec(store.Checked(fileStore)))
+	benchExec("exec_run/store=none", w, nil)
+	benchExec("exec_run/store=mem", w, store.Checked(store.NewMemStore()))
+	benchExec("exec_run/store=file", w, store.Checked(fileStore))
+	// The same rows at realistic sizes: persistence cost against the
+	// bare run, and bytes written per run, as the chain grows.
+	for _, n := range []int{1024, 16384} {
+		_, wn, err := chainWorkload(n)
+		if err != nil {
+			return nil, err
+		}
+		benchExec(fmt.Sprintf("exec_run/store=none n=%d", n), wn, nil)
+		benchExec(fmt.Sprintf("exec_run/store=mem n=%d", n), wn, store.Checked(store.NewMemStore()))
+	}
 
 	// Raw store Save on a checkpoint-state-sized payload (4 KiB): the
 	// codec seal plus the store's write path; the file store's cost is

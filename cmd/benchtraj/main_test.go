@@ -136,12 +136,15 @@ func TestBenchtrajWritesReport(t *testing.T) {
 		}
 		execByName[m.Name] = m
 	}
-	// Three executor rows (bare + two stores), six raw Save rows (the
-	// networked remote/quorum stacks and the lease guard included),
-	// three degraded-store resilience rows, two partition-tolerance
-	// rows, and the anti-entropy row.
+	// Three executor rows at n=64 (bare + two stores) and bare + mem at
+	// n=1024 and n=16384, six raw Save rows (the networked remote/quorum
+	// stacks and the lease guard included), three degraded-store
+	// resilience rows, two partition-tolerance rows, and the
+	// anti-entropy row.
 	for _, name := range []string{
 		"exec_run/store=none", "exec_run/store=mem", "exec_run/store=file",
+		"exec_run/store=none n=1024", "exec_run/store=mem n=1024",
+		"exec_run/store=none n=16384", "exec_run/store=mem n=16384",
 		"store_save/kind=mem", "store_save/kind=file", "store_save/kind=quota",
 		"store_save/kind=remote", "store_save/kind=quorum", "store_save/kind=lease",
 		"exec_adaptive/replan", "exec_adaptive/run mode=static", "exec_adaptive/run mode=adaptive",
@@ -152,8 +155,18 @@ func TestBenchtrajWritesReport(t *testing.T) {
 			t.Errorf("missing %s (have %v)", name, execRep.Results)
 		}
 	}
-	if len(execRep.Results) != 15 {
-		t.Errorf("got %d exec results, want 15", len(execRep.Results))
+	if len(execRep.Results) != 19 {
+		t.Errorf("got %d exec results, want 19", len(execRep.Results))
+	}
+	// Store rows record the payload bytes one run writes; bare rows
+	// write none.
+	for _, n := range []string{"", " n=1024", " n=16384"} {
+		if m := execByName["exec_run/store=mem"+n]; m.BytesWritten <= 0 {
+			t.Errorf("exec_run/store=mem%s records no bytes written", n)
+		}
+		if m := execByName["exec_run/store=none"+n]; m.BytesWritten != 0 {
+			t.Errorf("exec_run/store=none%s records %d bytes written", n, m.BytesWritten)
+		}
 	}
 }
 

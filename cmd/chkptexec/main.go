@@ -645,8 +645,8 @@ func quotaLedger(cfg config) (*store.QuotaLedger, error) {
 // tenant in multi-tenant mode.
 func reportResult(out io.Writer, prefix string, cfg config, planned float64, res *exec.Result, err error) error {
 	if res != nil && res.Resumed {
-		fmt.Fprintf(out, "%sresumed from checkpoint %d (%d journal events restored)\n",
-			prefix, res.ResumeSeq, res.RestoredEvents)
+		fmt.Fprintf(out, "%sresumed from checkpoint %d (%d journal events rebuilt from %d checkpoint loads)\n",
+			prefix, res.ResumeSeq, res.RestoredEvents, res.ResumeLoads)
 	}
 	if res != nil && res.Epoch > 0 {
 		fmt.Fprintf(out, "%slease: holding epoch %d\n", prefix, res.Epoch)

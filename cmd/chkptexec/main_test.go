@@ -116,6 +116,22 @@ func TestCampaignDAG(t *testing.T) {
 
 var journalLine = regexp.MustCompile(`journal: (\d+) events, hash ([0-9a-f]{16})`)
 
+// resumeLine matches the resume report: seq, events rebuilt, loads.
+var resumeLine = regexp.MustCompile(`resumed from checkpoint (\d+) \((\d+) journal events rebuilt from (\d+) checkpoint loads\)`)
+
+// checkResumeLine asserts out reports a resume that rebuilt a non-empty
+// journal from at least one checkpoint load.
+func checkResumeLine(t *testing.T, out string) {
+	t.Helper()
+	m := resumeLine.FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("resume not reported:\n%s", out)
+	}
+	if m[2] == "0" || m[3] == "0" {
+		t.Fatalf("resume rebuilt %s events from %s loads:\n%s", m[2], m[3], out)
+	}
+}
+
 var planLine = regexp.MustCompile(`plan: \S+ — \d+ tasks, (\d+) segments`)
 
 // TestPersistedCrashResume is the CLI-level crash drill: kill a
@@ -160,9 +176,7 @@ func TestPersistedCrashResume(t *testing.T) {
 	if err := run(resumed, &resOut); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(resOut.String(), "resumed from checkpoint") {
-		t.Fatalf("resume not reported:\n%s", resOut.String())
-	}
+	checkResumeLine(t, resOut.String())
 	resM := journalLine.FindStringSubmatch(resOut.String())
 	if resM == nil {
 		t.Fatalf("no journal line in resumed output:\n%s", resOut.String())
@@ -618,10 +632,9 @@ func TestPersistedLeasedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := resOut.String()
-	for _, want := range []string{"resumed from checkpoint", "lease: holding epoch 2"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("resume output missing %q:\n%s", want, s)
-		}
+	checkResumeLine(t, s)
+	if !strings.Contains(s, "lease: holding epoch 2") {
+		t.Fatalf("resume output missing the epoch:\n%s", s)
 	}
 	resM := journalLine.FindStringSubmatch(s)
 	if resM == nil {

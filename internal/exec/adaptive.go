@@ -227,8 +227,8 @@ func (ex *executor) commit(s int) error {
 	if err := ex.maybeReplan(s); err != nil {
 		return err
 	}
-	seq := uint64(s) + 1
-	saved, err := ex.persist(seq, encodeState(ex.snapshot(seq, uint64(s)+1)))
+	st := ex.snapshot(uint64(s) + 1)
+	saved, err := ex.persist(link{st.seq, st.events}, encodeState(st))
 	if err != nil || !saved {
 		return err
 	}
@@ -242,9 +242,10 @@ func (ex *executor) commit(s int) error {
 // persist is everything that happens to a checkpoint payload after it
 // is encoded: skip (persistence off), or save-with-retries plus clock,
 // health, exposure and ladder updates. It reports whether the payload
-// reached the store. The resume path calls it with the restored
-// payload to re-observe the same outcomes.
-func (ex *executor) persist(seq uint64, payload []byte) (saved bool, err error) {
+// reached the store, and pushes l onto the checkpoint chain when it
+// did. The resume path calls it with the restored payload to re-observe
+// the same outcomes.
+func (ex *executor) persist(l link, payload []byte) (saved bool, err error) {
 	if ex.level == LevelDown {
 		// Ride-out probing: at LevelDown every ProbeEvery-th commit
 		// attempts its save anyway; the others skip as before. The
@@ -267,7 +268,7 @@ func (ex *executor) persist(seq uint64, payload []byte) (saved bool, err error) 
 			return false, nil
 		}
 	}
-	out, fatal := ex.adaptiveSave(seq, payload)
+	out, fatal := ex.adaptiveSave(l.seq, payload)
 	if fatal != nil {
 		return false, fatal
 	}
@@ -279,6 +280,7 @@ func (ex *executor) persist(seq uint64, payload []byte) (saved bool, err error) 
 	ex.health.ObserveCommit(out.successLat, out.overhead-out.successLat)
 	ex.noteExposure()
 	if out.ok {
+		ex.links = append(ex.links, l)
 		ex.lastPersistT = ex.t
 		ex.consec = 0
 		if ex.level == LevelDown {
@@ -307,6 +309,7 @@ func (ex *executor) escalate(permanent bool) error {
 		(permanent || ex.consec >= ex.ad.failoverAfter()):
 		ex.level = LevelFailover
 		ex.store = ex.ad.Secondary
+		ex.failedOver = true
 		ex.consec = 0
 		return ex.event(Event{Kind: EvDegrade, Time: ex.t, Arg: int32(ex.level)})
 	case ex.level < LevelDown && (ex.ad.Secondary == nil || ex.level >= LevelFailover) &&
@@ -418,8 +421,8 @@ func (ex *executor) resolveBaseCost() float64 {
 // restoreAdaptive rebuilds the adaptive state from a decoded
 // checkpoint: health, ladder position, hysteresis anchors, exposure
 // accounting, the active store, and the spliced segment layout
-// (reconstructed by replaying the journal's EvReplan events through the
-// configured replanner).
+// (reconstructed by replaying the restored journal's EvReplan events
+// through the configured replanner).
 func (ex *executor) restoreAdaptive(st *execState) error {
 	ex.health.commits = st.healthCommits
 	ex.health.ewmaLat = st.healthEwmaLat
@@ -437,27 +440,17 @@ func (ex *executor) restoreAdaptive(st *execState) error {
 	ex.lastReplanAt = int64(st.lastReplanAt1) - 1
 	ex.lastPersistT = st.lastPersistT
 	ex.maxRewind = st.maxRewind
-	// A restored LevelFailover means saves were going to the secondary.
-	// LevelDown alone does not: a ride-out probe can persist a
-	// down-level state through the PRIMARY when no failover ever
-	// happened — the journal prefix is the arbiter (it records every
-	// ladder move up to the encode point).
-	failedOver := ex.level == LevelFailover
-	if !failedOver && ex.level == LevelDown {
-		for _, e := range st.journal {
-			if e.Kind == EvDegrade && DegradeLevel(e.Arg) == LevelFailover {
-				failedOver = true
-				break
-			}
-		}
-	}
-	if failedOver {
+	// The failover flag, not the level, says where saves were going: a
+	// run that failed over, went down and was re-admitted by a ride-out
+	// probe is back at LevelDegraded on the secondary.
+	if st.secondary {
 		if ex.ad.Secondary == nil {
 			return fmt.Errorf("exec: checkpoint was saved after failover but no secondary store is configured")
 		}
 		ex.store = ex.ad.Secondary
+		ex.failedOver = true
 	}
-	for _, e := range st.journal {
+	for _, e := range ex.j {
 		if e.Kind != EvReplan {
 			continue
 		}
@@ -475,16 +468,30 @@ func (ex *executor) restoreAdaptive(st *execState) error {
 	return nil
 }
 
-// snapshot captures the executor's full state for encoding.
-func (ex *executor) snapshot(seq, nextSeg uint64) *execState {
+// snapshot captures the executor's full state for encoding checkpoint
+// seq (whose next segment is seq, the commit's segment index plus one).
+// It places seq on the checkpoint chain — a Fenwick tree over seq: pop
+// every persisted link above seq&(seq−1), and the new top, if any, is
+// the chain parent — so the payload carries only the journal since the
+// parent, and a resume from seq loads at most popcount(seq) payloads.
+// It folds the events since the last encode into the running digest.
+func (ex *executor) snapshot(seq uint64) *execState {
+	for len(ex.links) > 0 && ex.links[len(ex.links)-1].seq > seq&(seq-1) {
+		ex.links = ex.links[:len(ex.links)-1]
+	}
+	var parent link
+	if len(ex.links) > 0 {
+		parent = ex.links[len(ex.links)-1]
+	}
+	ex.digest = fnvEvents(ex.digest, ex.j[ex.digestN:])
+	ex.digestN = len(ex.j)
 	st := &execState{
 		fp:      ex.fp,
 		seq:     seq,
-		nextSeg: nextSeg,
+		nextSeg: seq,
 		t:       ex.t,
 		met:     ex.met,
 		src:     ex.src.State(),
-		journal: ex.j,
 
 		healthCommits:  ex.health.commits,
 		healthEwmaLat:  ex.health.ewmaLat,
@@ -502,6 +509,13 @@ func (ex *executor) snapshot(seq, nextSeg uint64) *execState {
 		lastReplanAt1:  uint64(ex.lastReplanAt + 1),
 		lastPersistT:   ex.lastPersistT,
 		maxRewind:      ex.maxRewind,
+		secondary:      ex.failedOver,
+
+		parentSeq:    parent.seq,
+		parentEvents: parent.events,
+		events:       uint64(len(ex.j)),
+		digest:       ex.digest,
+		delta:        ex.j[parent.events:],
 	}
 	return st
 }

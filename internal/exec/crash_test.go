@@ -163,17 +163,37 @@ func TestCrashResumeUnderFaultInjection(t *testing.T) {
 
 // adaptiveDrill is one degraded-store kill/resume scenario: a workload,
 // a fault plan, an optional quota and secondary, a retry policy and
-// optionally a replanner.
+// optionally a replanner. secFailSeq, when set, makes every save of that
+// seq to the secondary fail transiently; ladder, when set, replaces the
+// default ladder thresholds.
 type adaptiveDrill struct {
-	name      string
-	w         *Workload
-	src       func() Source
-	plan      store.FaultPlan
-	quota     *store.Quota
-	secondary bool
-	retry     RetryPolicy
-	replanner func() Replanner
+	name       string
+	w          *Workload
+	src        func() Source
+	plan       store.FaultPlan
+	quota      *store.Quota
+	secondary  bool
+	secFailSeq uint64
+	ladder     *AdaptiveOptions
+	retry      RetryPolicy
+	replanner  func() Replanner
 }
+
+// seqFailStore fails every save of one seq with a transient injected
+// error and forwards everything else.
+type seqFailStore struct {
+	store.Store
+	seq uint64
+}
+
+func (s seqFailStore) Save(run string, seq uint64, payload []byte) error {
+	if seq == s.seq {
+		return store.ErrInjectedWrite
+	}
+	return s.Store.Save(run, seq, payload)
+}
+
+func (s seqFailStore) Unwrap() store.Store { return s.Store }
 
 // adaptiveStack is one scenario's persistent storage: the inner stores
 // and quota ledger survive invocations, while the fault-injecting
@@ -209,11 +229,17 @@ func (a *adaptiveStack) options(crashEvents int) Options {
 		FailoverAfter: 2,
 		DownAfter:     3,
 	}
+	if l := a.d.ladder; l != nil {
+		ad.FailoverAfter, ad.DownAfter, ad.ProbeEvery = l.FailoverAfter, l.DownAfter, l.ProbeEvery
+	}
 	if a.d.replanner != nil {
 		ad.Replanner = a.d.replanner()
 	}
 	if a.sec != nil {
 		ad.Secondary = store.Checked(a.sec)
+		if a.d.secFailSeq != 0 {
+			ad.Secondary = store.Checked(seqFailStore{a.sec, a.d.secFailSeq})
+		}
 	}
 	return Options{
 		RunID: "acceptance", Store: prim, Downtime: 1,
@@ -248,8 +274,10 @@ func hostileDrills(sc crashScenario) []adaptiveDrill {
 // adaptiveDrills builds the degraded-store scenario matrix: chain plans
 // under drift+replan with exponential backoff and with fixed retries,
 // a quota that runs out mid-run, an always-failing primary with
-// failover, a no-retry ladder collapse, a DAG live-set plan with the
-// order replanner, and the hostile-store rows of every crash scenario.
+// failover, a failover whose secondary goes down and is re-admitted by
+// a ride-out probe, a no-retry ladder collapse, a DAG live-set plan
+// with the order replanner, and the hostile-store rows of every crash
+// scenario.
 func adaptiveDrills(t *testing.T) []adaptiveDrill {
 	t.Helper()
 	cp, _ := chainProblem(t)
@@ -290,6 +318,15 @@ func adaptiveDrills(t *testing.T) []adaptiveDrill {
 			name: "chain/failover", w: chainWorkload(t), src: chainSrc,
 			plan:      store.FaultPlan{Seed: 14, WriteFail: 1},
 			secondary: true, retry: FixedRetry{Attempts: 1}, replanner: chainRP,
+		},
+		{
+			// Seq 1 fails over, seq 2 takes the secondary down, seq 3's
+			// probe re-admits it at LevelDegraded: later saves still go
+			// to the secondary, so a resume must too.
+			name: "chain/failover-down-readmit", w: chainWorkload(t), src: chainSrc,
+			plan:      store.FaultPlan{Seed: 17, WriteFail: 1},
+			secondary: true, secFailSeq: 2, retry: FixedRetry{Attempts: 1},
+			ladder: &AdaptiveOptions{FailoverAfter: 1, DownAfter: 1, ProbeEvery: 1},
 		},
 		{
 			name: "chain/no-retry", w: chainWorkload(t), src: chainSrc,

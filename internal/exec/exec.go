@@ -78,10 +78,14 @@ type Result struct {
 	Saves int
 	// Resumed reports whether state was restored from the store,
 	// ResumeSeq which checkpoint sequence it was restored from, and
-	// RestoredEvents how many journal events that checkpoint carried.
+	// RestoredEvents how many journal events were rebuilt from that
+	// checkpoint's chain (its own delta plus its ancestors'). ResumeLoads
+	// counts the checkpoints loaded while resuming, chain links and
+	// fallbacks past unusable candidates included.
 	Resumed        bool
 	ResumeSeq      uint64
 	RestoredEvents int
+	ResumeLoads    int
 	// Replans counts online replans applied over the run's lifetime,
 	// GiveUps the commits whose save was abandoned, Level the final
 	// degradation-ladder position, and MaxRewind the worst crash-rewind
@@ -180,6 +184,7 @@ type executor struct {
 	// store, its health, the degradation ladder and exposure accounting.
 	ad           *AdaptiveOptions
 	store        store.Store // active store (primary, or secondary after failover)
+	failedOver   bool        // store is the secondary
 	health       StoreHealth
 	level        DegradeLevel
 	consec       int // consecutive commit give-ups on the active store
@@ -191,6 +196,14 @@ type executor struct {
 	lastPersistT float64
 	maxRewind    float64
 	baseCost     float64
+
+	// Checkpoint chain (see snapshot): links is the stack of persisted
+	// checkpoints the next payload may build on, each one the chain
+	// parent of the link above it; digest is the running FNV-64a of the
+	// first digestN journal events, folded at encode time only.
+	links   []link
+	digest  uint64
+	digestN int
 
 	// Anti-entropy pass counters (SyncEvery > 0); never journaled.
 	syncs        int
@@ -227,6 +240,7 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		opts:   opts,
 		fp:     w.Fingerprint() ^ (src.Fingerprint() * 0x9e3779b97f4a7c15),
 		budget: opts.maxFailures(),
+		digest: fnvOffset64,
 
 		segStart: w.segStart,
 		segEnd:   w.segEnd,
@@ -268,33 +282,38 @@ func Execute(w *Workload, src Source, opts Options) (*Result, error) {
 		}
 	}
 	startSeg := 0
-	st, raw, err := ex.loadResume()
+	rp, err := ex.loadResume(&res.ResumeLoads)
 	if err != nil {
 		return res, err
 	}
-	if st != nil {
+	if rp != nil {
+		st := rp.top
 		ex.t = st.t
 		ex.met = st.met
-		ex.j = st.journal
+		ex.j = rp.journal
+		ex.links = rp.links
+		ex.digest, ex.digestN = st.digest, len(rp.journal)
 		ex.src.Restore(st.src)
 		startSeg = int(st.nextSeg)
 		res.Resumed = true
 		res.ResumeSeq = st.seq
-		res.RestoredEvents = len(st.journal)
+		res.RestoredEvents = len(rp.journal)
 		if err := ex.restoreAdaptive(st); err != nil {
 			return res, err
 		}
 	}
 	err = func() error {
-		if st != nil {
+		if rp != nil {
 			// Re-save the restored payload through the normal post-encode
 			// path. The save outcomes of commit k happen AFTER payload k is
 			// encoded, so they are not inside it; re-saving against the
 			// logically-keyed store stack regenerates the same outcome
 			// events, clock overhead and ladder moves the uninterrupted run
 			// produced at that commit. It is not a new commit, so it does
-			// not count toward Saves or CrashAfterSaves.
-			if _, err := ex.persist(st.seq, raw); err != nil {
+			// not count toward Saves or CrashAfterSaves. A landed re-save
+			// pushes the restored checkpoint onto the rebuilt chain, as
+			// the uninterrupted run's save did.
+			if _, err := ex.persist(link{rp.top.seq, rp.top.events}, rp.raw); err != nil {
 				return err
 			}
 		}
@@ -536,57 +555,141 @@ func (ex *executor) loadOnce(st store.Store, seq uint64) ([]byte, error) {
 	}
 }
 
-// loadResume finds the newest loadable, decodable checkpoint of this
-// run, skipping past corrupt frames, injected read failures (after
-// retries) and lost entries to older checkpoints, consulting the
-// secondary store too when one is configured. It returns the decoded
-// state together with the raw payload (the resume re-saves it)
-// or nil with no error when the run has no usable checkpoint (fresh
-// start). A fingerprint mismatch is a loud error: the store holds a
-// different workload's state and silently restarting would mask it.
-func (ex *executor) loadResume() (*execState, []byte, error) {
+// resumePoint is a checkpoint whose whole chain passed the resume
+// checks: the decoded top, its raw payload (the resume re-saves it), the
+// journal rebuilt from the chain, and the links below the top.
+type resumePoint struct {
+	top     *execState
+	raw     []byte
+	journal Journal
+	links   []link
+}
+
+// loadedLink is one memoized checkpoint load; a nil st marks a seq that
+// is unlisted, missing, corrupt or unreachable.
+type loadedLink struct {
+	st  *execState
+	raw []byte
+}
+
+// loadResume finds the newest checkpoint whose chain is whole: every
+// link back to the root loadable and decodable, each link's journal
+// length equal to its child's parentEvents, and the rebuilt journal
+// reproducing every link's digest. Candidates are tried newest first,
+// consulting the secondary store too when one is configured; a
+// candidate with a corrupt, lost, unreachable or inconsistent link falls
+// back to the next one. Each seq is loaded at most once per resume, and
+// *loads counts the loads. It returns nil with no error when no
+// candidate survives (fresh start). A fingerprint mismatch on any link
+// is a loud error: the store holds a different workload's state and
+// silently restarting would mask it.
+func (ex *executor) loadResume(loads *int) (*resumePoint, error) {
 	if ex.opts.Store == nil {
-		return nil, nil, nil
+		return nil, nil
 	}
 	cands, err := ex.listResume()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	secondary := make(map[uint64]bool, len(cands))
+	for _, c := range cands {
+		secondary[c.seq] = c.secondary
+	}
+	memo := make(map[uint64]loadedLink, len(cands))
+	load := func(seq uint64) (loadedLink, error) {
+		if l, ok := memo[seq]; ok {
+			return l, nil
+		}
+		var l loadedLink
+		if sec, listed := secondary[seq]; listed {
+			from := ex.opts.Store
+			if sec {
+				from = ex.ad.Secondary
+			}
+			*loads++
+			data, err := ex.loadOnce(from, seq)
+			switch {
+			case errors.Is(err, store.ErrCorrupt) || errors.Is(err, store.ErrNotFound) ||
+				errors.Is(err, store.ErrInjected) || errors.Is(err, store.ErrTimeout):
+				// Fall back to an older checkpoint. Timeouts included: a
+				// partition active at resume time makes an entry
+				// unreachable, not the run unresumable — replaying more
+				// is always safe.
+			case err != nil:
+				return l, fmt.Errorf("exec: loading checkpoint %d: %w", seq, err)
+			default:
+				st, err := decodeState(data)
+				if err != nil {
+					return l, err
+				}
+				if st.fp != ex.fp {
+					return l, fmt.Errorf("%w: checkpoint %d has %016x, want %016x",
+						ErrFingerprint, seq, st.fp, ex.fp)
+				}
+				if st.seq == seq {
+					l = loadedLink{st: st, raw: data}
+				}
+			}
+		}
+		memo[seq] = l
+		return l, nil
 	}
 	for _, c := range cands {
-		from := ex.opts.Store
-		if c.secondary {
-			from = ex.ad.Secondary
+		var chain []*execState // top first
+		for seq := c.seq; ; {
+			l, err := load(seq)
+			if err != nil {
+				return nil, err
+			}
+			if l.st == nil || (len(chain) > 0 && l.st.events != chain[len(chain)-1].parentEvents) {
+				chain = nil
+				break
+			}
+			chain = append(chain, l.st)
+			if l.st.parentSeq == 0 {
+				break
+			}
+			seq = l.st.parentSeq // strictly smaller (decodeState), so the walk ends
 		}
-		data, err := ex.loadOnce(from, c.seq)
-		if errors.Is(err, store.ErrCorrupt) || errors.Is(err, store.ErrNotFound) ||
-			errors.Is(err, store.ErrInjected) || errors.Is(err, store.ErrTimeout) {
-			// Fall back to an older checkpoint. Timeouts included: a
-			// partition active at resume time makes the newest entry
-			// unreachable, not the run unresumable — replaying more is
-			// always safe.
+		if chain == nil {
 			continue
 		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("exec: loading checkpoint %d: %w", c.seq, err)
+		if rp, ok := rebuildChain(chain); ok {
+			rp.raw = memo[c.seq].raw
+			return rp, nil
 		}
-		st, err := decodeState(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		if st.fp != ex.fp {
-			return nil, nil, fmt.Errorf("%w: checkpoint %d has %016x, want %016x",
-				ErrFingerprint, c.seq, st.fp, ex.fp)
-		}
-		return st, data, nil
 	}
-	return nil, nil, nil
+	return nil, nil
+}
+
+// rebuildChain concatenates a chain's journal deltas (chain is top
+// first, its links' event counts already checked to abut) and verifies
+// each link's digest against the rebuilt prefix.
+func rebuildChain(chain []*execState) (*resumePoint, bool) {
+	top := chain[0]
+	rp := &resumePoint{top: top, journal: make(Journal, 0, top.events)}
+	h := uint64(fnvOffset64)
+	for i := len(chain) - 1; i >= 0; i-- {
+		st := chain[i]
+		h = fnvEvents(h, st.delta)
+		if h != st.digest {
+			return nil, false
+		}
+		rp.journal = append(rp.journal, st.delta...)
+		if i > 0 {
+			rp.links = append(rp.links, link{st.seq, st.events})
+		}
+	}
+	return rp, true
 }
 
 // execState is the decoded checkpoint payload: every accumulator the
-// executor owns, bit-exact, plus the source position and the journal
-// prefix. Bit-exact float round-tripping is what makes resumed
-// accumulations identical to uninterrupted ones, the persistence block
-// (health, ladder, hysteresis anchors, exposure accounting) included.
+// executor owns, bit-exact, plus the source position, the checkpoint's
+// place on its chain and the journal delta since its chain parent.
+// Bit-exact float round-tripping is what makes resumed accumulations
+// identical to uninterrupted ones, the persistence block (health,
+// ladder, hysteresis anchors, exposure accounting, the active store)
+// included.
 type execState struct {
 	fp      uint64
 	seq     uint64
@@ -594,7 +697,6 @@ type execState struct {
 	t       float64
 	met     Metrics
 	src     SourceState
-	journal Journal
 
 	healthCommits  uint64
 	healthEwmaLat  float64
@@ -612,22 +714,46 @@ type execState struct {
 	lastPersistT   float64
 	maxRewind      float64
 	sinceDown      uint64
+	secondary      bool // saves go to the failover secondary
+
+	// Chain position: parentSeq is the chain parent (0 for a root),
+	// parentEvents its journal length, events this checkpoint's journal
+	// length, digest the FNV-64a of the canonical encoding of the first
+	// events journal events, and delta = journal[parentEvents:events].
+	parentSeq    uint64
+	parentEvents uint64
+	events       uint64
+	digest       uint64
+	delta        Journal
+}
+
+// link is one persisted checkpoint on the executor's chain: its seq and
+// the journal length when it was encoded.
+type link struct {
+	seq    uint64
+	events uint64
 }
 
 // stateSchema versions the checkpoint payload (inside the store codec's
 // frame, which versions the framing itself). Schema 2 appended the
 // adaptive block to schema 1's twelve slots, reusing slot 11 (reserved)
 // for StoreOverhead; schema 3 appended the ride-out probe counter
-// (sinceDown).
-const stateSchema = 3
+// (sinceDown); schema 4 appended the failover flag and the chain
+// position, and replaced the full journal with the delta since the
+// chain parent.
+const stateSchema = 4
 
-// stateHeaderSize is the fixed part of the payload before the journal.
-const stateHeaderSize = 4 + 8*28
+// stateHeaderSize is the fixed part of the payload before the delta.
+const stateHeaderSize = 4 + 8*33
 
 // encodeState serializes the checkpoint payload.
 func encodeState(st *execState) []byte {
-	out := make([]byte, stateHeaderSize, stateHeaderSize+8+len(st.journal)*eventSize)
+	out := make([]byte, stateHeaderSize, stateHeaderSize+len(st.delta)*eventSize)
 	putU32(out, stateSchema)
+	var secondary uint64
+	if st.secondary {
+		secondary = 1
+	}
 	fields := [...]uint64{
 		st.fp,
 		st.seq,
@@ -657,17 +783,22 @@ func encodeState(st *execState) []byte {
 		math.Float64bits(st.lastPersistT),
 		math.Float64bits(st.maxRewind),
 		st.sinceDown,
+		secondary,
+		st.parentSeq,
+		st.parentEvents,
+		st.events,
+		st.digest,
 	}
 	for i, v := range fields {
 		putU64(out[4+8*i:], v)
 	}
-	return append(out, st.journal.Marshal()...)
+	return appendEvents(out, st.delta)
 }
 
-// errState reports a malformed checkpoint payload — a schema mismatch
-// or truncation that survived the store codec's CRC, i.e. a version
-// skew rather than bit rot. It is loud, not skipped: resuming past it
-// would silently discard real state.
+// errState reports a malformed checkpoint payload — a schema mismatch,
+// truncation or inconsistent chain position that survived the store
+// codec's CRC, i.e. a version skew rather than bit rot. It is loud, not
+// skipped: resuming past it would silently discard real state.
 var errState = errors.New("exec: malformed checkpoint payload")
 
 // decodeState parses a checkpoint payload.
@@ -710,11 +841,28 @@ func decodeState(data []byte) (*execState, error) {
 		lastPersistT:   math.Float64frombits(f(25)),
 		maxRewind:      math.Float64frombits(f(26)),
 		sinceDown:      f(27),
+		secondary:      f(28) == 1,
+
+		parentSeq:    f(29),
+		parentEvents: f(30),
+		events:       f(31),
+		digest:       f(32),
 	}
-	j, err := UnmarshalJournal(data[stateHeaderSize:])
+	if f(28) > 1 {
+		return nil, fmt.Errorf("%w: failover flag %d", errState, f(28))
+	}
+	if st.parentSeq >= st.seq || (st.parentSeq == 0 && st.parentEvents != 0) {
+		return nil, fmt.Errorf("%w: checkpoint %d has chain parent %d at %d events",
+			errState, st.seq, st.parentSeq, st.parentEvents)
+	}
+	delta, err := decodeEvents(data[stateHeaderSize:])
 	if err != nil {
 		return nil, err
 	}
-	st.journal = j
+	if st.events < st.parentEvents || st.events-st.parentEvents != uint64(len(delta)) {
+		return nil, fmt.Errorf("%w: checkpoint %d spans events [%d,%d) but carries %d",
+			errState, st.seq, st.parentEvents, st.events, len(delta))
+	}
+	st.delta = delta
 	return st, nil
 }

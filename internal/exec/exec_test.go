@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -286,6 +287,14 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	if j.Hash() == Journal(nil).Hash() {
 		t.Fatal("hash does not separate journals")
+	}
+	// Hash streams the encoding; its values are FNV-64a of Marshal.
+	for _, jj := range []Journal{nil, j} {
+		h := fnv.New64a()
+		h.Write(jj.Marshal())
+		if jj.Hash() != h.Sum64() {
+			t.Fatalf("Hash = %016x, want FNV-64a of Marshal %016x", jj.Hash(), h.Sum64())
+		}
 	}
 	for _, bad := range [][]byte{nil, {1, 2, 3}, j.Marshal()[:len(j.Marshal())-1]} {
 		if _, err := UnmarshalJournal(bad); err == nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
@@ -106,20 +105,58 @@ type Journal []Event
 // kind u8 | time f64 | arg i32 | seq u64.
 const eventSize = 1 + 8 + 4 + 8
 
+// putEvent writes e's canonical encoding into b[:eventSize]. It is the
+// one per-event encoder: Marshal, Hash, the checkpoint payload's journal
+// delta and its running digest all go through it.
+func putEvent(b []byte, e Event) {
+	_ = b[eventSize-1]
+	b[0] = byte(e.Kind)
+	putU64(b[1:], math.Float64bits(e.Time))
+	putU32(b[9:], uint32(e.Arg))
+	putU64(b[13:], e.Seq)
+}
+
+// getEvent decodes one canonical event encoding from b[:eventSize].
+func getEvent(b []byte) Event {
+	_ = b[eventSize-1]
+	return Event{
+		Kind: EventKind(b[0]),
+		Time: math.Float64frombits(getU64(b[1:])),
+		Arg:  int32(getU32(b[9:])),
+		Seq:  getU64(b[13:]),
+	}
+}
+
+// appendEvents appends the canonical encodings of es to b.
+func appendEvents(b []byte, es []Event) []byte {
+	off := len(b)
+	b = append(b, make([]byte, len(es)*eventSize)...)
+	for _, e := range es {
+		putEvent(b[off:], e)
+		off += eventSize
+	}
+	return b
+}
+
+// decodeEvents decodes a concatenation of canonical event encodings. It
+// allocates only after checking that data holds whole events.
+func decodeEvents(data []byte) (Journal, error) {
+	if len(data)%eventSize != 0 {
+		return nil, errJournal
+	}
+	j := make(Journal, len(data)/eventSize)
+	for i := range j {
+		j[i] = getEvent(data[i*eventSize:])
+	}
+	return j, nil
+}
+
 // Marshal encodes the journal canonically: u64 count, then fixed-width
 // little-endian events.
 func (j Journal) Marshal() []byte {
-	out := make([]byte, 8+len(j)*eventSize)
+	out := make([]byte, 8, 8+len(j)*eventSize)
 	putU64(out, uint64(len(j)))
-	off := 8
-	for _, e := range j {
-		out[off] = byte(e.Kind)
-		putU64(out[off+1:], math.Float64bits(e.Time))
-		putU32(out[off+9:], uint32(e.Arg))
-		putU64(out[off+13:], e.Seq)
-		off += eventSize
-	}
-	return out
+	return appendEvents(out, j)
 }
 
 // errJournal reports a malformed journal encoding.
@@ -127,25 +164,10 @@ var errJournal = errors.New("exec: malformed journal encoding")
 
 // UnmarshalJournal decodes a canonical journal encoding.
 func UnmarshalJournal(data []byte) (Journal, error) {
-	if len(data) < 8 {
+	if len(data) < 8 || getU64(data) != uint64((len(data)-8)/eventSize) {
 		return nil, errJournal
 	}
-	n := getU64(data)
-	if n > uint64((len(data)-8)/eventSize) || len(data) != 8+int(n)*eventSize {
-		return nil, errJournal
-	}
-	j := make(Journal, n)
-	off := 8
-	for i := range j {
-		j[i] = Event{
-			Kind: EventKind(data[off]),
-			Time: math.Float64frombits(getU64(data[off+1:])),
-			Arg:  int32(getU32(data[off+9:])),
-			Seq:  getU64(data[off+13:]),
-		}
-		off += eventSize
-	}
-	return j, nil
+	return decodeEvents(data[8:])
 }
 
 // Equal reports byte-for-byte equality of the canonical encodings.
@@ -153,12 +175,40 @@ func (j Journal) Equal(other Journal) bool {
 	return bytes.Equal(j.Marshal(), other.Marshal())
 }
 
-// Hash returns a 64-bit digest of the canonical encoding, for compact
-// journal-identity assertions in experiment output.
+// FNV-64a parameters (hash/fnv's), inlined so the journal digests
+// stream event by event without an interface call or a buffer.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvBytes folds b into the running FNV-64a state h.
+func fnvBytes(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// fnvEvents folds the canonical encodings of es into the running
+// FNV-64a state h.
+func fnvEvents(h uint64, es []Event) uint64 {
+	var buf [eventSize]byte
+	for _, e := range es {
+		putEvent(buf[:], e)
+		h = fnvBytes(h, buf[:])
+	}
+	return h
+}
+
+// Hash returns the 64-bit FNV-64a digest of the canonical encoding, for
+// compact journal-identity assertions in experiment output. It streams
+// the encoding rather than building Marshal's buffer.
 func (j Journal) Hash() uint64 {
-	h := fnv.New64a()
-	h.Write(j.Marshal())
-	return h.Sum64()
+	var count [8]byte
+	putU64(count[:], uint64(len(j)))
+	return fnvEvents(fnvBytes(fnvOffset64, count[:]), j)
 }
 
 // Count returns the number of events of the given kind.
