@@ -847,15 +847,12 @@ func measureExec() (*Report, error) {
 	// (for the quorum) the replica fan-out and deterministic response
 	// merge.
 	netCfg := netsim.Config{Seed: 29, Latency: 0.01, Jitter: 0.005}
-	record("store_save/kind=remote", 4096, benchSave(store.Checked(store.NewRemoteStore(
-		store.NewMemStore(), netsim.New(netCfg), netCfg, store.RemoteConfig{Remote: "s0"}))))
-	qnet := netsim.New(netCfg)
-	reps := make([]store.Store, 3)
-	for i := range reps {
-		reps[i] = store.Checked(store.NewRemoteStore(store.NewMemStore(), qnet, netCfg,
-			store.RemoteConfig{Remote: fmt.Sprintf("s%d", i)}))
+	remote, err := store.Stack{Bottoms: memBottoms(1), Net: &netCfg}.Build()
+	if err != nil {
+		return nil, err
 	}
-	quorum, err := store.NewQuorumStore(reps, store.QuorumConfig{W: 2, R: 2})
+	record("store_save/kind=remote", 4096, benchSave(remote))
+	quorum, err := store.Stack{Bottoms: memBottoms(3), Net: &netCfg, W: 2, R: 2}.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -926,34 +923,29 @@ func measureExec() (*Report, error) {
 	partCfg := netsim.Config{Seed: 31, Latency: 0.01, Partitions: []netsim.Window{
 		{Start: 0.3 * bare.Makespan, End: 0.7 * bare.Makespan, Isolated: []string{"s0"}},
 	}}
-	benchPartition := func(quorumArm bool) testing.BenchmarkResult {
+	// benchPartition runs one execution per iteration through a fresh
+	// stack of n mem replicas behind the partitioned network; the quorum
+	// arms (n = 3) commit on the W = 2 majority.
+	benchPartition := func(n, syncEvery int) testing.BenchmarkResult {
 		return testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				src.Reset()
-				net := netsim.New(partCfg)
-				var st store.Store
-				if quorumArm {
-					reps := make([]store.Store, 3)
-					for k := range reps {
-						reps[k] = store.Checked(store.NewRemoteStore(store.NewMemStore(), net, partCfg,
-							store.RemoteConfig{Remote: fmt.Sprintf("s%d", k), Timeout: 0.25}))
-					}
-					q, err := store.NewQuorumStore(reps, store.QuorumConfig{W: 2, R: 2})
-					if err != nil {
-						b.Fatal(err)
-					}
-					st = q
-				} else {
-					st = store.Checked(store.NewRemoteStore(store.NewMemStore(), net, partCfg,
-						store.RemoteConfig{Remote: "s0", Timeout: 0.25}))
+				spec := store.Stack{Bottoms: memBottoms(n), Net: &partCfg, Timeout: 0.25}
+				if n > 1 {
+					spec.W, spec.R = 2, 2
 				}
-				_, err := exec.Execute(w, src, exec.Options{
+				st, err := spec.Build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, err = exec.Execute(w, src, exec.Options{
 					RunID: "bench", Store: st, Downtime: 0.5,
 					Adaptive: &exec.AdaptiveOptions{
 						Retry:      exec.ExpBackoff{Base: 0.1, Cap: 0.5, MaxAttempts: 3},
 						DownAfter:  2,
 						ProbeEvery: 2,
+						SyncEvery:  syncEvery,
 					},
 				})
 				if err != nil {
@@ -962,42 +954,24 @@ func measureExec() (*Report, error) {
 			}
 		})
 	}
-	record("exec_partition/store=remote", 64, benchPartition(false))
-	record("exec_partition/store=quorum", 64, benchPartition(true))
+	record("exec_partition/store=remote", 64, benchPartition(1, 0))
+	record("exec_partition/store=quorum", 64, benchPartition(3, 0))
 
 	// Anti-entropy row: the quorum partition arm again, now with an
 	// executor-driven sync pass every 3rd commit plus the final one. The
 	// delta against exec_partition/store=quorum prices converging the
 	// partitioned replica during the run instead of leaving it behind.
-	record("exec_sync/store=quorum sync-every=3", 64, testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			src.Reset()
-			net := netsim.New(partCfg)
-			reps := make([]store.Store, 3)
-			for k := range reps {
-				reps[k] = store.Checked(store.NewRemoteStore(store.NewMemStore(), net, partCfg,
-					store.RemoteConfig{Remote: fmt.Sprintf("s%d", k), Timeout: 0.25}))
-			}
-			q, err := store.NewQuorumStore(reps, store.QuorumConfig{W: 2, R: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			_, err = exec.Execute(w, src, exec.Options{
-				RunID: "bench", Store: q, Downtime: 0.5,
-				Adaptive: &exec.AdaptiveOptions{
-					Retry:      exec.ExpBackoff{Base: 0.1, Cap: 0.5, MaxAttempts: 3},
-					DownAfter:  2,
-					ProbeEvery: 2,
-					SyncEvery:  3,
-				},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
+	record("exec_sync/store=quorum sync-every=3", 64, benchPartition(3, 3))
 	return report, nil
+}
+
+// memBottoms returns n fresh mem stores, one per replica.
+func memBottoms(n int) []store.Store {
+	out := make([]store.Store, n)
+	for i := range out {
+		out[i] = store.NewMemStore()
+	}
+	return out
 }
 
 // measureDag builds the exact-DAG-solver trajectory (BENCH_dag.json):

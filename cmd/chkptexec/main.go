@@ -140,10 +140,32 @@ type config struct {
 }
 
 // networked reports whether any network flag routes the store through
-// the simulated network.
+// the simulated network. A negative network value counts, so that
+// store.Stack rejects it instead of the flag being ignored.
 func (c config) networked() bool {
-	return c.netLatency > 0 || c.netJitter > 0 || c.netLoss > 0 ||
+	return c.netLatency != 0 || c.netJitter != 0 || c.netLoss != 0 ||
 		c.partition != "" || c.replicas > 1
+}
+
+// checkFlags rejects flags that would otherwise be silently ignored:
+// out-of-range counts and TTLs, and flags whose dependency is unset.
+// Network values are range-checked by store.Stack.
+func (c config) checkFlags() error {
+	switch {
+	case c.replicas < 0:
+		return fmt.Errorf("-replicas %d: want a positive replica count", c.replicas)
+	case c.lease < 0:
+		return fmt.Errorf("-lease %g: want a positive TTL", c.lease)
+	case c.writeQuorum != 0 && c.replicas < 2:
+		return fmt.Errorf("-write-quorum needs -replicas >= 2")
+	case c.syncEvery != 0 && c.replicas < 2:
+		return fmt.Errorf("-sync-every needs -replicas >= 2")
+	case (c.holder != "" || c.takeover) && c.lease == 0:
+		return fmt.Errorf("-holder/-takeover need -lease")
+	case c.netTimeout != 0 && !c.networked():
+		return fmt.Errorf("-net-timeout needs a network flag (-net-latency, -net-jitter, -net-loss, -partition or -replicas)")
+	}
+	return nil
 }
 
 // adaptive reports whether any resilience flag is set; they all tune
@@ -209,6 +231,9 @@ func main() {
 }
 
 func run(cfg config, out io.Writer) error {
+	if err := cfg.checkFlags(); err != nil {
+		return err
+	}
 	if cfg.maintenance() {
 		return runMaintenance(cfg, out)
 	}
@@ -515,96 +540,52 @@ func parsePartitions(spec string) ([]netsim.Window, error) {
 	return wins, nil
 }
 
-// buildStore assembles the persisted store stack: file store, optional
-// fault injector, codec sealing, optional quota layer. The quota ledger
-// is passed in so concurrent tenants share one accounting.
-//
-// Network flags route every replica through one simulated network
-// (endpoint s<i>, directory <dir>/r<i> when replicated), with the codec
-// seal OUTSIDE the remote hop so torn and lost messages are detected,
-// not decoded; -replicas > 1 composes the sealed remotes under a write
-// quorum. The quota layer stays outermost — it meters what the tenant
-// retains, however it is replicated.
+// buildStore assembles the persisted store stack through store.Stack:
+// one file store per replica (directory <dir>/r<i> when replicated),
+// the optional fault injector, the simulated network (replica i is
+// endpoint s<i>) under a write quorum when replicated, the lease and
+// the quota layer. The quota ledger is passed in so concurrent tenants
+// share one accounting.
 func buildStore(cfg config, ledger *store.QuotaLedger) (store.Store, error) {
-	inner := func(dir string, salt uint64) (store.Store, error) {
+	spec := store.Stack{Ledger: ledger}
+	n := max(cfg.replicas, 1)
+	for i := 0; i < n; i++ {
+		dir := cfg.dir
+		if n > 1 {
+			dir = filepath.Join(cfg.dir, fmt.Sprintf("r%d", i))
+		}
 		fs, err := store.NewFileStore(dir)
 		if err != nil {
 			return nil, err
 		}
-		var st store.Store = fs
-		if cfg.faults {
-			plan := store.FaultPlan{
-				Seed: cfg.faultSeed + salt, WriteFail: 0.1, TornWrite: 0.1, LoseOld: 0.2, ReadFail: 0.1,
-				MeanLatency: cfg.faultLatency,
-			}
-			if ledger != nil {
-				// Silent old-checkpoint loss would desync the quota
-				// ledger's retained accounting from the store.
-				plan.LoseOld = 0
-			}
-			st = store.NewFaultStore(st, plan)
-		}
-		return st, nil
+		spec.Bottoms = append(spec.Bottoms, fs)
 	}
-
-	var st store.Store
-	if !cfg.networked() {
-		s, err := inner(cfg.dir, 0)
-		if err != nil {
-			return nil, err
+	if cfg.faults {
+		spec.Faults = &store.FaultPlan{
+			Seed: cfg.faultSeed, WriteFail: 0.1, TornWrite: 0.1, LoseOld: 0.2, ReadFail: 0.1,
+			MeanLatency: cfg.faultLatency,
 		}
-		st = store.Checked(s)
-	} else {
+		if ledger != nil {
+			// Silent old-checkpoint loss would desync the quota
+			// ledger's retained accounting from the store.
+			spec.Faults.LoseOld = 0
+		}
+	}
+	if cfg.networked() {
 		wins, err := parsePartitions(cfg.partition)
 		if err != nil {
 			return nil, err
 		}
-		netCfg := netsim.Config{
+		spec.Net = &netsim.Config{
 			Seed: cfg.netSeed, Latency: cfg.netLatency, Jitter: cfg.netJitter,
 			Loss: cfg.netLoss, Partitions: wins,
 		}
-		net := netsim.New(netCfg)
-		n := cfg.replicas
-		if n < 1 {
-			n = 1
-		}
-		reps := make([]store.Store, n)
-		for i := range reps {
-			dir := cfg.dir
-			if n > 1 {
-				dir = filepath.Join(cfg.dir, fmt.Sprintf("r%d", i))
-			}
-			s, err := inner(dir, uint64(i))
-			if err != nil {
-				return nil, err
-			}
-			reps[i] = store.Checked(store.NewRemoteStore(s, net, netCfg, store.RemoteConfig{
-				Remote: fmt.Sprintf("s%d", i), Timeout: cfg.netTimeout,
-			}))
-		}
-		if n > 1 {
-			q, err := store.NewQuorumStore(reps, store.QuorumConfig{W: cfg.writeQuorum})
-			if err != nil {
-				return nil, err
-			}
-			st = q
-		} else {
-			st = reps[0]
-		}
+		spec.Timeout, spec.W = cfg.netTimeout, cfg.writeQuorum
 	}
 	if cfg.lease > 0 {
-		// Epoch-fenced leases ride INSIDE the quota wrapper: the lease
-		// record persists through the same codec/quorum machinery as the
-		// checkpoints it guards, but lease traffic is protocol overhead,
-		// not tenant data, so it stays off the quota ledger.
-		st = store.NewLeaseStore(st, store.LeaseConfig{
-			Holder: cfg.holder, TTL: cfg.lease, Takeover: cfg.takeover,
-		})
+		spec.Lease = &store.LeaseConfig{Holder: cfg.holder, TTL: cfg.lease, Takeover: cfg.takeover}
 	}
-	if ledger != nil {
-		st = store.NewQuotaStore(ledger, st)
-	}
-	return st, nil
+	return spec.Build()
 }
 
 // buildAdaptive assembles the AdaptiveOptions the resilience flags ask

@@ -473,6 +473,31 @@ func TestNetworkedFlagsRequireDir(t *testing.T) {
 	if err := run(tel, &bytes.Buffer{}); err == nil {
 		t.Error("-plan-from-telemetry without -dir accepted")
 	}
+
+	// Bad network values and unmet network dependencies, on a persisted
+	// run that would otherwise complete.
+	for _, tc := range []struct {
+		flags string
+		set   func(*config)
+	}{
+		{"-net-loss 2", func(c *config) { c.netLoss = 2 }},
+		{"-net-loss -0.5", func(c *config) { c.netLoss = -0.5 }},
+		{"-net-latency -1", func(c *config) { c.netLatency = -1 }},
+		{"-net-jitter -1 -replicas 3", func(c *config) { c.netJitter, c.replicas = -1, 3 }},
+		{"-net-latency 0.1 -net-timeout -1", func(c *config) { c.netLatency, c.netTimeout = 0.1, -1 }},
+		{"-net-timeout 2 without a network flag", func(c *config) { c.netTimeout = 2 }},
+		{"-replicas -2", func(c *config) { c.replicas = -2 }},
+		{"-write-quorum 2 without -replicas", func(c *config) { c.writeQuorum = 2 }},
+		{"-write-quorum 2 -replicas 1", func(c *config) { c.writeQuorum, c.replicas = 2, 1 }},
+		{"-write-quorum 4 -replicas 3", func(c *config) { c.writeQuorum, c.replicas = 4, 3 }},
+	} {
+		cfg := baseConfig(wf)
+		cfg.dir = t.TempDir()
+		tc.set(&cfg)
+		if err := run(cfg, &bytes.Buffer{}); err == nil {
+			t.Errorf("%s accepted", tc.flags)
+		}
+	}
 }
 
 // TestParsePartitions covers the window grammar.
@@ -829,5 +854,24 @@ func TestMultiWriterFlagValidation(t *testing.T) {
 	}
 	if err := run(config{syncMode: true, runID: "run", dir: t.TempDir(), replicas: 3, contend: true}, &bytes.Buffer{}); err == nil {
 		t.Error("-sync combined with -contend accepted")
+	}
+
+	// Lease and anti-entropy flags whose dependency is unset, on a
+	// persisted run that would otherwise complete.
+	for _, tc := range []struct {
+		flags string
+		set   func(*config)
+	}{
+		{"-lease -1", func(c *config) { c.lease = -1 }},
+		{"-holder without -lease", func(c *config) { c.holder = "a" }},
+		{"-takeover without -lease", func(c *config) { c.takeover = true }},
+		{"-sync-every 3 without -replicas", func(c *config) { c.syncEvery = 3 }},
+	} {
+		cfg := baseConfig(wf)
+		cfg.dir = t.TempDir()
+		tc.set(&cfg)
+		if err := run(cfg, &bytes.Buffer{}); err == nil {
+			t.Errorf("%s accepted", tc.flags)
+		}
 	}
 }

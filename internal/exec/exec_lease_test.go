@@ -87,24 +87,20 @@ func TestExecuteSyncEvery(t *testing.T) {
 	w := chainWorkload(t)
 	src := func() Source { return NewKeyedSource(failure.Exponential{Lambda: 0.08}, 78, 1) }
 
-	build := func(partitionEnd float64) (store.Store, []*store.MemStore) {
+	build := func(partitionEnd float64) (store.Store, []store.Store) {
 		netCfg := netsim.Config{Seed: 9, Latency: 0.02}
 		if partitionEnd > 0 {
 			netCfg.Partitions = []netsim.Window{{Start: 0, End: partitionEnd, Isolated: []string{"s0"}}}
 		}
-		net := netsim.New(netCfg)
-		mems := make([]*store.MemStore, 3)
-		replicas := make([]store.Store, 3)
-		for i := range mems {
-			mems[i] = store.NewMemStore()
-			rs := store.NewRemoteStore(mems[i], net, netCfg, store.RemoteConfig{Remote: fmt.Sprintf("s%d", i), Timeout: 1.5})
-			replicas[i] = store.Checked(rs)
+		spec := store.Stack{
+			Bottoms: []store.Store{store.NewMemStore(), store.NewMemStore(), store.NewMemStore()},
+			Net:     &netCfg, Timeout: 1.5, W: 2, R: 2,
 		}
-		q, err := store.NewQuorumStore(replicas, store.QuorumConfig{W: 2, R: 2})
+		q, err := spec.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return q, mems
+		return q, spec.Bottoms
 	}
 
 	st, mems := build(20)

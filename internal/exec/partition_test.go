@@ -12,45 +12,18 @@ import (
 	"repro/internal/store"
 )
 
-// partitionStack is one partition drill's persistent storage: replica
-// mem stores survive invocations while the network and every wrapper
-// are rebuilt per invocation — process-restart semantics, resetting
-// the network's logical attempt counters exactly as the replay
-// contract requires.
-type partitionStack struct {
-	netCfg netsim.Config
-	quorum bool
-	mems   []*store.MemStore
-}
-
-func newPartitionStack(netCfg netsim.Config, quorum bool) *partitionStack {
-	n := 1
+// partitionSpec is one partition drill's persistent storage: replica
+// mem stores survive invocations while each Build rebuilds the network
+// and every wrapper — process-restart semantics, resetting the
+// network's logical attempt counters exactly as the replay contract
+// requires.
+func partitionSpec(netCfg netsim.Config, quorum bool) store.Stack {
+	spec := store.Stack{Bottoms: []store.Store{store.NewMemStore()}, Net: &netCfg, Timeout: 1.5}
 	if quorum {
-		n = 3
+		spec.Bottoms = append(spec.Bottoms, store.NewMemStore(), store.NewMemStore())
+		spec.W, spec.R = 2, 2
 	}
-	mems := make([]*store.MemStore, n)
-	for i := range mems {
-		mems[i] = store.NewMemStore()
-	}
-	return &partitionStack{netCfg: netCfg, quorum: quorum, mems: mems}
-}
-
-func (p *partitionStack) build() store.Store {
-	net := netsim.New(p.netCfg)
-	if !p.quorum {
-		return store.Checked(store.NewRemoteStore(p.mems[0], net, p.netCfg,
-			store.RemoteConfig{Remote: "s0", Timeout: 1.5}))
-	}
-	reps := make([]store.Store, len(p.mems))
-	for i := range p.mems {
-		reps[i] = store.Checked(store.NewRemoteStore(p.mems[i], net, p.netCfg,
-			store.RemoteConfig{Remote: fmt.Sprintf("s%d", i), Timeout: 1.5}))
-	}
-	q, err := store.NewQuorumStore(reps, store.QuorumConfig{W: 2, R: 2})
-	if err != nil {
-		panic(err)
-	}
-	return q
+	return spec
 }
 
 // partitionProblem is a chain dense in checkpoints: partition drills
@@ -95,9 +68,13 @@ func partitionWorkload(t *testing.T) *Workload {
 	return w
 }
 
-func (p *partitionStack) options(t *testing.T, crashEvents int) Options {
+func partitionOptions(t *testing.T, spec store.Stack, crashEvents int) Options {
+	st, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	return Options{
-		RunID: "acceptance", Store: p.build(), Downtime: 1,
+		RunID: "acceptance", Store: st, Downtime: 1,
 		CrashAfterEvents: crashEvents,
 		Adaptive: &AdaptiveOptions{
 			Retry:       ExpBackoff{Base: 0.25, Cap: 0.5, MaxAttempts: 3},
@@ -150,8 +127,7 @@ func TestPartitionEveryEventPointKillResume(t *testing.T) {
 			name = "quorum-n3-w2"
 		}
 		t.Run(name, func(t *testing.T) {
-			refStack := newPartitionStack(netCfg, quorum)
-			ref, err := Execute(w, src(), refStack.options(t, 0))
+			ref, err := Execute(w, src(), partitionOptions(t, partitionSpec(netCfg, quorum), 0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,15 +148,15 @@ func TestPartitionEveryEventPointKillResume(t *testing.T) {
 			}
 			n := len(ref.Journal)
 			for kill := 1; kill <= n; kill++ {
-				stack := newPartitionStack(netCfg, quorum)
-				_, err := Execute(w, src(), stack.options(t, kill))
+				spec := partitionSpec(netCfg, quorum)
+				_, err := Execute(w, src(), partitionOptions(t, spec, kill))
 				if err == nil {
 					t.Fatalf("kill@%d did not crash a %d-event run", kill, n)
 				}
 				if !errors.Is(err, ErrCrashed) {
 					t.Fatalf("kill@%d: unexpected error: %v", kill, err)
 				}
-				res, err := Execute(w, src(), stack.options(t, 0))
+				res, err := Execute(w, src(), partitionOptions(t, spec, 0))
 				if err != nil {
 					t.Fatalf("kill@%d: resume: %v", kill, err)
 				}

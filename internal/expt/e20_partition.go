@@ -69,45 +69,28 @@ func e20Workload(cp *core.ChainProblem) (*exec.Workload, error) {
 	return exec.NewChainWorkload(cp, ck)
 }
 
-// e20Stack is one drill's persistent storage: replica mem stores
-// survive invocations while the network and every wrapper are rebuilt
-// per invocation — process-restart semantics, resetting the network's
-// logical attempt counters exactly as the replay contract requires.
-type e20Stack struct {
-	netCfg netsim.Config
-	quorum bool
-	mems   []*store.MemStore
+// e20Spec is one drill's persistent storage: one mem store per replica
+// survives invocations, while each Build rebuilds the network and every
+// wrapper — process-restart semantics, resetting the network's logical
+// attempt counters exactly as the replay contract requires.
+func e20Spec(netCfg netsim.Config, quorum bool) store.Stack {
+	if !quorum {
+		return store.Stack{Bottoms: memBottoms(1), Net: &netCfg, Timeout: 1.5}
+	}
+	return store.Stack{Bottoms: memBottoms(3), Net: &netCfg, Timeout: 1.5, W: 2, R: 2}
 }
 
-func newE20Stack(netCfg netsim.Config, quorum bool) *e20Stack {
-	n := 1
-	if quorum {
-		n = 3
+// memBottoms returns n fresh mem stores, one per replica.
+func memBottoms(n int) []store.Store {
+	out := make([]store.Store, n)
+	for i := range out {
+		out[i] = store.NewMemStore()
 	}
-	mems := make([]*store.MemStore, n)
-	for i := range mems {
-		mems[i] = store.NewMemStore()
-	}
-	return &e20Stack{netCfg: netCfg, quorum: quorum, mems: mems}
+	return out
 }
 
-func (p *e20Stack) build() (store.Store, error) {
-	net := netsim.New(p.netCfg)
-	const timeout = 1.5
-	if !p.quorum {
-		return store.Checked(store.NewRemoteStore(p.mems[0], net, p.netCfg,
-			store.RemoteConfig{Remote: "s0", Timeout: timeout})), nil
-	}
-	reps := make([]store.Store, len(p.mems))
-	for i := range p.mems {
-		reps[i] = store.Checked(store.NewRemoteStore(p.mems[i], net, p.netCfg,
-			store.RemoteConfig{Remote: fmt.Sprintf("s%d", i), Timeout: timeout}))
-	}
-	return store.NewQuorumStore(reps, store.QuorumConfig{W: 2, R: 2})
-}
-
-func (p *e20Stack) options(cp *core.ChainProblem, crashEvents int) (exec.Options, error) {
-	st, err := p.build()
+func e20Options(spec store.Stack, cp *core.ChainProblem, crashEvents int) (exec.Options, error) {
+	st, err := spec.Build()
 	if err != nil {
 		return exec.Options{}, err
 	}
@@ -188,18 +171,18 @@ func planE20(cfg Config) (*Plan, error) {
 			}
 			netCfg := e20NetCfg(netSeed, 0.2*base.Makespan, 1.2*base.Makespan)
 
-			run := func(stack *e20Stack, crash int) (*exec.Result, error) {
+			run := func(spec store.Stack, crash int) (*exec.Result, error) {
 				w, err := e20Workload(cp)
 				if err != nil {
 					return nil, err
 				}
-				o, err := stack.options(cp, crash)
+				o, err := e20Options(spec, cp, crash)
 				if err != nil {
 					return nil, err
 				}
 				return exec.Execute(w, src(), o)
 			}
-			ref, err := run(newE20Stack(netCfg, quorum), 0)
+			ref, err := run(e20Spec(netCfg, quorum), 0)
 			if err != nil {
 				return RowOut{}, err
 			}
@@ -221,12 +204,12 @@ func planE20(cfg Config) (*Plan, error) {
 			identical, metricsOK := true, true
 			for kill := 1; kill <= ne; kill += killStride {
 				kills++
-				stack := newE20Stack(netCfg, quorum)
-				_, err := run(stack, kill)
+				spec := e20Spec(netCfg, quorum)
+				_, err := run(spec, kill)
 				if !errors.Is(err, exec.ErrCrashed) {
 					return RowOut{}, fmt.Errorf("E20: %s kill@%d: want ErrCrashed, got %v", name, kill, err)
 				}
-				res, err := run(stack, 0)
+				res, err := run(spec, 0)
 				if err != nil {
 					return RowOut{}, fmt.Errorf("E20: %s resume after kill@%d: %w", name, kill, err)
 				}
@@ -296,7 +279,7 @@ func planE20(cfg Config) (*Plan, error) {
 					if err != nil {
 						return nil, err
 					}
-					o, err := newE20Stack(netCfg, isQuorum).options(cp, 0)
+					o, err := e20Options(e20Spec(netCfg, isQuorum), cp, 0)
 					if err != nil {
 						return nil, err
 					}
@@ -357,8 +340,10 @@ func planE20(cfg Config) (*Plan, error) {
 		p.Job(tele, func(s *rng.Stream) (RowOut, error) {
 			jitter := lat / 2
 			netCfg := netsim.Config{Seed: s.Uint64(), Latency: lat, Jitter: jitter}
-			st := store.Checked(store.NewRemoteStore(store.NewMemStore(), netsim.New(netCfg), netCfg,
-				store.RemoteConfig{Remote: "s0", Timeout: 8 * (lat + jitter)}))
+			st, err := store.Stack{Bottoms: memBottoms(1), Net: &netCfg, Timeout: 8 * (lat + jitter)}.Build()
+			if err != nil {
+				return RowOut{}, err
+			}
 			probe := exec.ProbeStore(st, "e20-telemetry", 32, 0, 0)
 			if !probe.Tracked || probe.Failures != 0 {
 				return RowOut{}, fmt.Errorf("E20: probe = %+v, want tracked with no failures", probe)

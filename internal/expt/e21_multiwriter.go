@@ -20,42 +20,19 @@ func init() {
 	}, planE21)
 }
 
-// e21Stack is one drill's persistent storage: three replica mem stores
-// survive invocations while the network, remotes, codec, quorum, and
-// lease wrapper are rebuilt per invocation — process-restart semantics.
-// The LeaseStore is returned concretely so the zombie drill can re-enter
-// on the ORIGINAL instance, whose stale lease session is exactly what a
-// woken zombie process holds.
-type e21Stack struct {
-	netCfg netsim.Config
-	mems   []*store.MemStore
+// e21Spec is one drill's persistent storage: three replica mem stores
+// survive invocations, while each Build rebuilds the network, remotes,
+// codec, quorum and lease wrapper — process-restart semantics. The
+// zombie drill re-enters on the ORIGINAL built store, whose stale lease
+// session is exactly what a woken zombie process holds.
+func e21Spec(netCfg netsim.Config) store.Stack {
+	return store.Stack{Bottoms: memBottoms(3), Net: &netCfg, Timeout: 1.5, W: 2, R: 2}
 }
 
-func newE21Stack(netCfg netsim.Config) *e21Stack {
-	mems := make([]*store.MemStore, 3)
-	for i := range mems {
-		mems[i] = store.NewMemStore()
-	}
-	return &e21Stack{netCfg: netCfg, mems: mems}
-}
-
-func (p *e21Stack) quorum() (*store.QuorumStore, error) {
-	net := netsim.New(p.netCfg)
-	const timeout = 1.5
-	reps := make([]store.Store, len(p.mems))
-	for i := range p.mems {
-		reps[i] = store.Checked(store.NewRemoteStore(p.mems[i], net, p.netCfg,
-			store.RemoteConfig{Remote: fmt.Sprintf("s%d", i), Timeout: timeout}))
-	}
-	return store.NewQuorumStore(reps, store.QuorumConfig{W: 2, R: 2})
-}
-
-func (p *e21Stack) leased(holder string, takeover bool) (*store.LeaseStore, error) {
-	q, err := p.quorum()
-	if err != nil {
-		return nil, err
-	}
-	return store.NewLeaseStore(q, store.LeaseConfig{Holder: holder, TTL: 1e9, Takeover: takeover}), nil
+// e21Leased builds spec under an epoch-fenced lease for holder.
+func e21Leased(spec store.Stack, holder string, takeover bool) (store.Store, error) {
+	spec.Lease = &store.LeaseConfig{Holder: holder, TTL: 1e9, Takeover: takeover}
+	return spec.Build()
 }
 
 // e21Options mirrors the adaptive configuration E20 proved replay-exact
@@ -74,7 +51,7 @@ func e21Options(st store.Store, crashEvents, crashSaves, syncEvery int) exec.Opt
 
 // e21Converged reports whether every replica holds bit-identical
 // contents for the data run: same seq lists, same raw frames.
-func e21Converged(mems []*store.MemStore) (bool, error) {
+func e21Converged(mems []store.Store) (bool, error) {
 	refSeqs, err := mems[0].List("e21")
 	if err != nil {
 		return false, err
@@ -147,7 +124,7 @@ func planE21(cfg Config) (*Plan, error) {
 
 		// Uncontended leased reference, plus a lease-free control proving
 		// the lease protocol never reaches the journal.
-		refStore, err := newE21Stack(netCfg).leased("ref", false)
+		refStore, err := e21Leased(e21Spec(netCfg), "ref", false)
 		if err != nil {
 			return RowOut{}, err
 		}
@@ -158,7 +135,7 @@ func planE21(cfg Config) (*Plan, error) {
 		if ref.Epoch != 1 {
 			return RowOut{}, fmt.Errorf("E21: reference epoch = %d, want 1", ref.Epoch)
 		}
-		bareStore, err := newE21Stack(netCfg).quorum()
+		bareStore, err := e21Spec(netCfg).Build()
 		if err != nil {
 			return RowOut{}, err
 		}
@@ -175,8 +152,8 @@ func planE21(cfg Config) (*Plan, error) {
 		politeBlocked, epochsOK, identical := false, true, true
 		for kill := 1; kill <= ne; kill += killStride {
 			kills++
-			stack := newE21Stack(netCfg)
-			aStore, err := stack.leased("a", false)
+			spec := e21Spec(netCfg)
+			aStore, err := e21Leased(spec, "a", false)
 			if err != nil {
 				return RowOut{}, err
 			}
@@ -188,7 +165,7 @@ func planE21(cfg Config) (*Plan, error) {
 
 			if kill == 1 {
 				// A polite b (no takeover) is blocked while a's lease lives.
-				polite, err := stack.leased("b", false)
+				polite, err := e21Leased(spec, "b", false)
 				if err != nil {
 					return RowOut{}, err
 				}
@@ -196,7 +173,7 @@ func planE21(cfg Config) (*Plan, error) {
 				politeBlocked = errors.Is(perr, store.ErrLeaseHeld)
 			}
 
-			bStore, err := stack.leased("b", true)
+			bStore, err := e21Leased(spec, "b", true)
 			if err != nil {
 				return RowOut{}, err
 			}
@@ -216,7 +193,7 @@ func planE21(cfg Config) (*Plan, error) {
 				return RowOut{}, fmt.Errorf("E21: kill@%d: zombie = %v, want ErrFenced or write-free completion", kill, zErr)
 			}
 
-			survStore, err := stack.leased("b", true)
+			survStore, err := e21Leased(spec, "b", true)
 			if err != nil {
 				return RowOut{}, err
 			}
@@ -272,18 +249,18 @@ func planE21(cfg Config) (*Plan, error) {
 				return RowOut{}, err
 			}
 			netCfg := e20NetCfg(netSeed, 0.1*base.Makespan, windowEnd*base.Makespan)
-			arm := func(syncEvery int) (*exec.Result, []*store.MemStore, error) {
+			arm := func(syncEvery int) (*exec.Result, []store.Store, error) {
 				w, err := e20Workload(cp)
 				if err != nil {
 					return nil, nil, err
 				}
-				stack := newE21Stack(netCfg)
-				q, err := stack.quorum()
+				spec := e21Spec(netCfg)
+				q, err := spec.Build()
 				if err != nil {
 					return nil, nil, err
 				}
 				res, err := exec.Execute(w, src(), e21Options(q, 0, 0, syncEvery))
-				return res, stack.mems, err
+				return res, spec.Bottoms, err
 			}
 			res, mems, err := arm(3)
 			if err != nil {
@@ -336,16 +313,12 @@ func planE21(cfg Config) (*Plan, error) {
 		p.Job(scrub, func(s *rng.Stream) (RowOut, error) {
 			srcSeed := s.Uint64()
 			src := exec.NewKeyedSource(failure.Exponential{Lambda: e20Lambda}, srcSeed, 1)
-			mems := make([]*store.MemStore, 3)
-			reps := make([]store.Store, 3)
-			for i := range mems {
-				mems[i] = store.NewMemStore()
-				reps[i] = store.Checked(mems[i])
-			}
-			q, err := store.NewQuorumStore(reps, store.QuorumConfig{W: 2, R: 2})
+			spec := store.Stack{Bottoms: memBottoms(3), W: 2, R: 2}
+			st, err := spec.Build()
 			if err != nil {
 				return RowOut{}, err
 			}
+			q, mems := st.(*store.QuorumStore), spec.Bottoms
 			w, err := e20Workload(cp)
 			if err != nil {
 				return RowOut{}, err

@@ -8,7 +8,8 @@
 // to, message identity, attempt), independent of how deliveries from
 // different runs interleave and of process restarts.
 //
-// The intended composition is store.NewRemoteStore(inner, net, cfg):
+// The intended composition is a store.Stack with Net set, which puts
+// every replica behind a store.RemoteStore on one network per Build:
 // the remote layer translates checkpoint operations into messages,
 // charges the drawn latency against its per-op deadline, and turns
 // lost or partitioned messages into timeouts the executor's

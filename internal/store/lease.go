@@ -60,13 +60,11 @@ type LeaseConfig struct {
 	Holder string
 	// TTL is the lease duration in virtual time (default 10). A holder
 	// that performs no guarded write for a full TTL loses its claim: the
-	// next acquirer may take the run without a takeover.
-	TTL float64
-	// RenewWithin renews the lease during a guarded write once the
-	// remaining TTL drops below this (default TTL/2). Renewal is
+	// next acquirer may take the run without a takeover. A guarded write
+	// renews the lease once less than TTL/2 remains. Renewal is
 	// piggy-backed: it costs one extra store write on a save that was
 	// happening anyway, never a background timer.
-	RenewWithin float64
+	TTL float64
 	// Takeover lets Acquire bump the epoch even while another holder's
 	// lease is unexpired — the "my failure detector says the owner is
 	// dead" path. Safety never depends on the detector being right:
@@ -86,13 +84,6 @@ func (c LeaseConfig) ttl() float64 {
 		return 10
 	}
 	return c.TTL
-}
-
-func (c LeaseConfig) renewWithin() float64 {
-	if c.RenewWithin <= 0 {
-		return c.ttl() / 2
-	}
-	return c.RenewWithin
 }
 
 // LeaseState is a decoded lease record: the fencing epoch, who holds it,
@@ -393,7 +384,7 @@ func (l *LeaseStore) guard(op, run string, seq uint64) error {
 	// Our epoch stands. Renew when the record is gone (self-heal), the
 	// persisted expiry has passed (nobody claimed the gap), or the
 	// remaining TTL is inside the renewal window.
-	if !found || now >= cur.Expiry-l.cfg.renewWithin() {
+	if !found || now >= cur.Expiry-l.cfg.ttl()/2 {
 		renewed := LeaseState{Epoch: s.epoch, Holder: holder, Expiry: now + l.cfg.ttl()}
 		if werr := l.writeLease(run, renewed); werr != nil {
 			if found && now < cur.Expiry {
@@ -452,18 +443,12 @@ func (l *LeaseStore) Delete(run string, seq uint64) error {
 // the stack carries no lease layer — the caller runs unfenced, which is
 // the pre-lease behavior.
 func AcquireLease(s Store, run string) (st LeaseState, found bool, err error) {
-	for s != nil {
-		if ls, isLease := s.(*LeaseStore); isLease {
-			st, err := ls.Acquire(run)
-			return st, true, err
-		}
-		u, isWrapper := s.(Unwrapper)
-		if !isWrapper {
-			break
-		}
-		s = u.Unwrap()
+	ls, found := find[*LeaseStore](s)
+	if !found {
+		return LeaseState{}, false, nil
 	}
-	return LeaseState{}, false, nil
+	st, err = ls.Acquire(run)
+	return st, true, err
 }
 
 var (

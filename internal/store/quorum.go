@@ -24,12 +24,6 @@ type QuorumConfig struct {
 	// respond. Zero defaults to the majority N/2+1. Choose W+R > N so
 	// every read quorum intersects every write quorum.
 	R int
-	// Hedge, when positive, is the virtual-time delay after which a
-	// read that has not yet assembled R responses from its first wave
-	// proactively contacts the spare replicas, instead of waiting for
-	// the stragglers' timeouts. Zero hedges only after the first wave's
-	// slowest terminal event.
-	Hedge float64
 }
 
 // QuorumStats counts quorum-level activity.
@@ -59,15 +53,14 @@ type QuorumStats struct {
 // path. A failed operation charges the slowest terminal event among
 // everything it waited on.
 //
-// Compose each replica as Checked(NewRemoteStore(...)) so torn frames
-// below the network surface as ErrCorrupt negative responses the
-// quorum can out-vote and repair — detected, not decoded. QuorumStore
-// is itself a latency-tracking layer (LastOp/RunLatency) and forwards
-// clock bindings to every replica.
+// Stack composes each replica as Checked(NewRemoteStore(...)) so torn
+// frames below the network surface as ErrCorrupt negative responses
+// the quorum can out-vote and repair — detected, not decoded.
+// QuorumStore is itself a latency-tracking layer (LastOp/RunLatency)
+// and forwards clock bindings to every replica.
 type QuorumStore struct {
 	replicas []Store
 	w, r     int
-	hedge    float64
 
 	// bookkeeping shares the FaultStore/RemoteStore mutex-and-maps
 	// idiom; one executor drives a run, but runs share the store.
@@ -84,8 +77,8 @@ type QuorumStore struct {
 }
 
 // NewQuorumStore builds a quorum store over the given replicas. W and
-// R default to the majority when zero; both are clamped no higher than
-// the replica count.
+// R default to the majority when zero. It returns an error when there
+// are no replicas or when W or R falls outside [1, N].
 func NewQuorumStore(replicas []Store, cfg QuorumConfig) (*QuorumStore, error) {
 	n := len(replicas)
 	if n == 0 {
@@ -105,7 +98,6 @@ func NewQuorumStore(replicas []Store, cfg QuorumConfig) (*QuorumStore, error) {
 		replicas: replicas,
 		w:        w,
 		r:        r,
-		hedge:    cfg.Hedge,
 		clocks:   make(map[string]func() float64),
 		runOps:   make(map[string]uint64),
 		runLat:   make(map[string]float64),
@@ -300,11 +292,10 @@ type reply struct {
 
 // Load assembles a read quorum with hedging: the first R replicas are
 // contacted immediately; if they do not yield R responses, the spare
-// replicas are contacted at the hedge delay (or, without one, after
-// the first wave's slowest terminal event). The returned payload is
-// the first positive response in completion order (ties on replica
-// index); replicas that responded negatively are then repaired off the
-// critical path. All R responses negative means the checkpoint
+// replicas are contacted once the first wave's slowest terminal event
+// has passed. The returned payload is the first positive response in
+// completion order (ties on replica index); replicas that responded
+// negatively are then repaired off the critical path. All R responses negative means the checkpoint
 // definitively does not exist at this quorum: ErrNotFound.
 func (q *QuorumStore) Load(run string, seq uint64) ([]byte, error) {
 	return q.load(run, seq, &readCost{})
@@ -343,17 +334,14 @@ func (q *QuorumStore) load(run string, seq uint64, c *readCost) ([]byte, error) 
 	// Hedge: contact the spares when the first wave cannot assemble R
 	// responses on its own.
 	if len(responses) < q.r && first < n {
-		start := q.hedge
-		if start <= 0 {
-			var terminals []float64
-			for _, rp := range responses {
-				terminals = append(terminals, rp.at)
-			}
-			for _, rp := range failures {
-				terminals = append(terminals, rp.at)
-			}
-			start = maxOf(terminals)
+		var terminals []float64
+		for _, rp := range responses {
+			terminals = append(terminals, rp.at)
 		}
+		for _, rp := range failures {
+			terminals = append(terminals, rp.at)
+		}
+		start := maxOf(terminals)
 		q.mu.Lock()
 		q.stats.Hedged++
 		q.mu.Unlock()

@@ -15,25 +15,19 @@ import (
 // endpoint "s<i>". Returns the quorum store and the replica mem stores
 // for white-box inspection.
 func quorumStack(netCfg netsim.Config, qcfg QuorumConfig, n int, faults FaultPlan) (*QuorumStore, []*MemStore) {
-	net := netsim.New(netCfg)
-	replicas := make([]Store, n)
-	mems := make([]*MemStore, n)
-	for i := 0; i < n; i++ {
-		mems[i] = NewMemStore()
-		var inner Store = mems[i]
-		if faults != (FaultPlan{}) {
-			fp := faults
-			fp.Seed = faults.Seed + uint64(i)
-			inner = NewFaultStore(inner, fp)
-		}
-		rs := NewRemoteStore(inner, net, netCfg, RemoteConfig{Remote: fmt.Sprintf("s%d", i), Timeout: 2})
-		replicas[i] = Checked(rs)
+	spec := Stack{Bottoms: mems(n), Net: &netCfg, Timeout: 2, W: qcfg.W, R: qcfg.R}
+	if faults != (FaultPlan{}) {
+		spec.Faults = &faults
 	}
-	q, err := NewQuorumStore(replicas, qcfg)
+	st, err := spec.Build()
 	if err != nil {
 		panic(err)
 	}
-	return q, mems
+	bottoms := make([]*MemStore, n)
+	for i, b := range spec.Bottoms {
+		bottoms[i] = b.(*MemStore)
+	}
+	return st.(*QuorumStore), bottoms
 }
 
 // TestKthSmallest pins the quorum-assembly selection directly: exact

@@ -125,8 +125,8 @@ func (l *QuotaLedger) release(run string, seq uint64) {
 }
 
 // QuotaStore enforces a ledger's budgets in front of an inner store.
-// Compose it OUTERMOST — NewQuotaStore(ledger, Checked(FaultStore(…)))
-// — so budgets are charged on the caller's payload bytes and rejections
+// Stack composes it OUTERMOST — NewQuotaStore(ledger, Checked(…)) — so
+// budgets are charged on the caller's payload bytes and rejections
 // happen before any inner layer is touched.
 //
 // Accounting is billing-level: a save is charged only when the inner

@@ -5,10 +5,13 @@
 // schema-versioned codec layer, and a deterministic fault-injecting
 // decorator for robustness testing.
 //
-// The intended composition is
+// The intended composition is the one Stack builds, innermost first:
+// bottom → fault → remote → codec → quorum → lease → quota. Every
+// caller gets it from one declarative spec:
 //
-//	store.Checked(store.NewFileStore(dir))                  // production
-//	store.Checked(store.NewFaultStore(inner, plan))         // fault drills
+//	store.Stack{Bottoms: []store.Store{fs}}.Build()                  // production
+//	store.Stack{Bottoms: []store.Store{mem}, Faults: &plan}.Build()  // fault drills
+//	store.Stack{Bottoms: reps, Net: &cfg, W: 2, Lease: &lc}.Build()  // replicated, fenced
 //
 // Checked applies the codec: every payload is sealed (magic, schema
 // version, length, CRC-32) on Save and verified on Load, so a torn or
@@ -116,15 +119,8 @@ type lastOpReader interface {
 // first), and Latency is the drawn value itself, free of the
 // accumulation rounding that differencing RunLatency would pick up.
 func LastOp(s Store, run string) (op RunOp, ok bool) {
-	for s != nil {
-		if r, isReader := s.(lastOpReader); isReader {
-			return r.LastOp(run), true
-		}
-		u, isWrapper := s.(Unwrapper)
-		if !isWrapper {
-			return RunOp{}, false
-		}
-		s = u.Unwrap()
+	if r, found := find[lastOpReader](s); found {
+		return r.LastOp(run), true
 	}
 	return RunOp{}, false
 }
@@ -136,17 +132,27 @@ func LastOp(s Store, run string) (op RunOp, ok bool) {
 // virtual — in which case callers should treat latency as unobservable
 // rather than zero-cost.
 func RunLatency(s Store, run string) (latency float64, ok bool) {
+	if r, found := find[runLatencyReader](s); found {
+		return r.RunLatency(run), true
+	}
+	return 0, false
+}
+
+// find walks the decorator stack of s by Unwrap, outermost first, and
+// returns the first layer that is a T.
+func find[T any](s Store) (T, bool) {
 	for s != nil {
-		if r, isReader := s.(runLatencyReader); isReader {
-			return r.RunLatency(run), true
+		if t, ok := s.(T); ok {
+			return t, true
 		}
-		u, isWrapper := s.(Unwrapper)
-		if !isWrapper {
-			return 0, false
+		u, ok := s.(Unwrapper)
+		if !ok {
+			break
 		}
 		s = u.Unwrap()
 	}
-	return 0, false
+	var zero T
+	return zero, false
 }
 
 // Sum is a SHA-256 digest of the bytes a store holds for one key.
@@ -181,15 +187,8 @@ type InfoLister interface {
 // forwards unchanged. A stack with no implementer falls back to List
 // and returns unknown digests.
 func ListInfo(s Store, run string) ([]Info, error) {
-	for t := s; t != nil; {
-		if l, isLister := t.(InfoLister); isLister {
-			return l.ListInfo(run)
-		}
-		u, isWrapper := t.(Unwrapper)
-		if !isWrapper {
-			break
-		}
-		t = u.Unwrap()
+	if l, found := find[InfoLister](s); found {
+		return l.ListInfo(run)
 	}
 	seqs, err := s.List(run)
 	if err != nil {

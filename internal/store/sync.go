@@ -89,34 +89,10 @@ type RunScrubber interface {
 }
 
 // FindSyncer walks the decorator stack for a RunSyncer.
-func FindSyncer(s Store) (RunSyncer, bool) {
-	for s != nil {
-		if sy, ok := s.(RunSyncer); ok {
-			return sy, true
-		}
-		u, ok := s.(Unwrapper)
-		if !ok {
-			break
-		}
-		s = u.Unwrap()
-	}
-	return nil, false
-}
+func FindSyncer(s Store) (RunSyncer, bool) { return find[RunSyncer](s) }
 
 // FindScrubber walks the decorator stack for a RunScrubber.
-func FindScrubber(s Store) (RunScrubber, bool) {
-	for s != nil {
-		if sc, ok := s.(RunScrubber); ok {
-			return sc, true
-		}
-		u, ok := s.(Unwrapper)
-		if !ok {
-			break
-		}
-		s = u.Unwrap()
-	}
-	return nil, false
-}
+func FindScrubber(s Store) (RunScrubber, bool) { return find[RunScrubber](s) }
 
 // runListing is one pass's view of a run across the replicas: each
 // replica's metadata listing and the ascending union of the seqs they

@@ -306,18 +306,20 @@ func TestIdenticalCorruptionEverywhere(t *testing.T) {
 // (plus one load of the verified clean copy as repair source).
 func TestScrubRepairsBitFlipOnDisk(t *testing.T) {
 	files := make([]*FileStore, 3)
-	reps := make([]Store, 3)
+	spec := Stack{W: 2, R: 2}
 	for i := range files {
 		fs, err := NewFileStore(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		files[i], reps[i] = fs, Checked(fs)
+		files[i] = fs
+		spec.Bottoms = append(spec.Bottoms, fs)
 	}
-	q, err := NewQuorumStore(reps, QuorumConfig{W: 2, R: 2})
+	st, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := st.(*QuorumStore)
 	saveSeqs(t, q, "r", 3)
 	if rep, err := q.ScrubRun("r"); err != nil || rep.Corrupt != 0 || rep.Probes != 3 {
 		t.Fatalf("clean ScrubRun = %+v, %v; want one probe per seq", rep, err)
